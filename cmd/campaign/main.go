@@ -18,7 +18,8 @@
 // share a checkpoint.
 //
 // The good-space Monte Carlo is die-sharded and overlapped with the
-// campaign's sprinkle front half; -gsworkers bounds its worker group
+// campaign's sprinkle front half; -gsworkers sets Pipeline.Workers, the
+// bound on the pipeline's own fan-out, which here is that die group
 // (0 inherits the campaign worker count). -mc and -nsigma override the
 // good-space sampling and detection threshold — they flow into the
 // checkpoint fingerprint, so checkpoints taken under different
@@ -87,7 +88,7 @@ func main() {
 		mag        = flag.Int("mag", 250000, "magnitude sprinkle size (0 = reuse discovery)")
 		mc         = flag.Int("mc", 80, "good-space Monte Carlo dies")
 		nsigma     = flag.Float64("nsigma", 3, "current-detection threshold multiple")
-		gsworkers  = flag.Int("gsworkers", 0, "good-space die workers (0 = inherit -workers; any setting is bit-identical)")
+		gsworkers  = flag.Int("gsworkers", 0, "pipeline fan-out bound, here the good-space dies (0 = inherit -workers; any setting is bit-identical)")
 		seed       = flag.Int64("seed", 1995, "random seed")
 		dftMode    = flag.String("dft", "both", "DfT setting: pre, post or both")
 		maxClasses = flag.Int("maxclasses", 0, "cap analysed classes per macro (0 = all)")
@@ -182,7 +183,7 @@ func main() {
 		// campaign; the JSONL trace (if any) spans both settings, with
 		// each record carrying its dft flag.
 		p := core.NewPipeline(cfg)
-		p.GoodSpaceWorkers = *gsworkers
+		p.Workers = *gsworkers
 		sinks := []obs.Sink{obs.NewAgg()}
 		if jw != nil {
 			sinks = append(sinks, jw)

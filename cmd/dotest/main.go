@@ -12,15 +12,17 @@
 // minutes of CPU). -bits selects the vehicle: the N-bit member of the
 // flash-converter family (2^N comparators and ladder segments; default 8,
 // the paper's case study). -workers > 1 runs the per-macro sprinkles and
-// per-class fault simulations on the parallel campaign engine; the
-// output is bit-identical to the serial run. For checkpoint/resume and
-// run metrics use cmd/campaign.
+// per-class fault simulations on the parallel campaign engine; -workers 1
+// runs them in-process through Pipeline.Run, which is no longer serial
+// by itself. For checkpoint/resume and run metrics use cmd/campaign.
 //
-// The good-space Monte Carlo is itself die-sharded: -gsworkers bounds
-// its worker group (0 picks GOMAXPROCS, or the campaign worker count
-// under -workers > 1; 1 compiles serially). Any setting is
-// bit-identical. -mc and -nsigma override the good-space sampling and
-// detection threshold, and survive -quick when given explicitly.
+// -gsworkers sets Pipeline.Workers, the bound on the pipeline's own
+// fan-out: Run's per-macro discoveries and per-class analyses, and the
+// good-space Monte Carlo's dies (0 picks GOMAXPROCS, or the campaign
+// worker count under -workers > 1; 1 runs strictly serially). Every
+// combination of -workers and -gsworkers is bit-identical. -mc and
+// -nsigma override the good-space sampling and detection threshold, and
+// survive -quick when given explicitly.
 //
 // -trace streams one JSON object per finished methodology-stage span
 // (sprinkle, collapse, inject, faultsim, classify, detect, goodspace)
@@ -63,8 +65,8 @@ func main() {
 		nsigma     = flag.Float64("nsigma", 3, "current-detection threshold multiple")
 		quick      = flag.Bool("quick", false, "small, fast configuration")
 		jsonOut    = flag.String("json", "", "also write a machine-readable summary to this file")
-		workers    = flag.Int("workers", 1, "parallel campaign workers (1 = serial, 0 = GOMAXPROCS)")
-		gsworkers  = flag.Int("gsworkers", 0, "good-space die workers (0 = automatic, 1 = serial; any setting is bit-identical)")
+		workers    = flag.Int("workers", 1, "parallel campaign workers (1 = in-process Pipeline.Run, 0 = GOMAXPROCS)")
+		gsworkers  = flag.Int("gsworkers", 0, "pipeline fan-out bound for Run's classes and the good-space dies (0 = automatic, 1 = strictly serial; any setting is bit-identical)")
 		trace      = flag.String("trace", "", "write a JSONL span trace of every methodology stage to this file")
 	)
 	flag.Parse()
@@ -98,7 +100,7 @@ func main() {
 	}
 	cfg.Bits = *bits
 	p := core.NewPipeline(cfg)
-	p.GoodSpaceWorkers = *gsworkers
+	p.Workers = *gsworkers
 
 	// Fail fast on a bad -macro before compiling the good space or
 	// sprinkling a single defect.

@@ -202,13 +202,13 @@ type Pipeline struct {
 	// faultsim, classify, detect, goodspace) of every analysis run on
 	// this pipeline. nil — the default — is the zero-cost noop.
 	Obs *obs.Observer
-	// GoodSpaceWorkers bounds the die-level concurrency of the
-	// good-space Monte Carlo (see goodspace.go): 0 is automatic —
-	// GOMAXPROCS, or the campaign worker count inside RunParallel — and
-	// 1 compiles strictly serially. Any setting produces bit-identical
-	// output: the per-die RNG streams make dies order-independent and
-	// the merge is index-ordered.
-	GoodSpaceWorkers int
+	// Workers bounds each in-process fan-out of the pipeline: Run's
+	// discovery and class analyses, and the good-space Monte Carlo's die
+	// group (see goodspace.go). 0 is automatic — GOMAXPROCS, or the
+	// campaign worker count inside RunParallel — and 1 runs strictly
+	// serially. Any setting produces byte-identical output: every unit of
+	// work depends only on its index, and every merge is index-ordered.
+	Workers int
 
 	veh     macros.Vehicle
 	cmp     *macros.ComparatorMacro
@@ -282,7 +282,7 @@ func (p *Pipeline) MacroNames() []string {
 
 // partsEnv carries the resources one fault-free parts simulation runs
 // with: the engine pool and baseline cache to go through (the good-space
-// die workers own private ones — see goodspace.go — while the nominal
+// compile owns a private pair — see goodspace.go — while the nominal
 // cache uses the pipeline's shared pair) and how many of the independent
 // macro transients may run concurrently.
 type partsEnv struct {
@@ -310,19 +310,21 @@ func (p *Pipeline) partsFor(ctx context.Context, v macros.Variation, dft bool, c
 		Pool: env.pool, Base: env.base,
 	}
 	ms := []macros.Macro{p.cmp, p.ladder, p.clock, p.decoder}
-	if env.fanout > 1 {
-		return p.partsFanout(ctx, ms, opt, env.fanout)
-	}
-	parts := map[string]*signature.Response{}
-	for _, m := range ms {
-		resp, err := m.Respond(ctx, nil, opt)
-		if err != nil {
-			if spice.IsCancelled(err) {
-				return nil, err
-			}
-			return nil, fmt.Errorf("core: nominal %s: %w", m.Name(), err)
+	resps := make([]*signature.Response, len(ms))
+	err := forEach(ctx, len(ms), env.fanout, func(ctx context.Context, i int) error {
+		resp, err := ms[i].Respond(ctx, nil, opt)
+		if err != nil && !spice.IsCancelled(err) {
+			return fmt.Errorf("core: nominal %s: %w", ms[i].Name(), err)
 		}
-		parts[m.Name()] = resp
+		resps[i] = resp
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	parts := make(map[string]*signature.Response, len(ms))
+	for i, m := range ms {
+		parts[m.Name()] = resps[i]
 	}
 	return parts, nil
 }
@@ -674,34 +676,65 @@ func (p *Pipeline) analysisTargets(run *MacroRun) []AnalysisTarget {
 	return out
 }
 
-// RunMacro executes the complete defect-oriented test path for one macro.
+// RunMacro executes the complete defect-oriented test path for one
+// macro. Its class analyses run serially: a parallel RunMacro would keep
+// one rebuild engine per worker live at once, which on the wide ladder's
+// dense rebuild path costs more memory than the cores save in time.
 func (p *Pipeline) RunMacro(ctx context.Context, macroName string, dft bool) (*MacroRun, error) {
 	run, err := p.DiscoverClasses(ctx, macroName, dft)
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range p.analysisTargets(run) {
-		ca, err := p.AnalyzeClass(ctx, macroName, run.Classes[t.Index], t.NonCat, dft)
-		if err != nil {
-			return nil, err
-		}
-		if t.NonCat {
-			run.NonCat = append(run.NonCat, *ca)
-		} else {
-			run.Cat = append(run.Cat, *ca)
-		}
+	if err := p.analyze(ctx, []*MacroRun{run}, dft, 1); err != nil {
+		return nil, err
 	}
 	return run, nil
 }
 
+// analyze runs the class analyses of runs on up to workers goroutines
+// and appends them to their macro runs in the canonical (serial) order:
+// macros in the given order, each in analysisTargets order. The results
+// land in index slots first, so the order never depends on scheduling.
+func (p *Pipeline) analyze(ctx context.Context, runs []*MacroRun, dft bool, workers int) error {
+	type job struct {
+		mr *MacroRun
+		t  AnalysisTarget
+	}
+	var jobs []job
+	for _, mr := range runs {
+		for _, t := range p.analysisTargets(mr) {
+			jobs = append(jobs, job{mr, t})
+		}
+	}
+	cas := make([]*ClassAnalysis, len(jobs))
+	err := forEach(ctx, len(jobs), workers, func(ctx context.Context, i int) error {
+		j := jobs[i]
+		ca, err := p.AnalyzeClass(ctx, j.mr.Name, j.mr.Classes[j.t.Index], j.t.NonCat, dft)
+		cas[i] = ca
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	for i, j := range jobs {
+		if j.t.NonCat {
+			j.mr.NonCat = append(j.mr.NonCat, *cas[i])
+		} else {
+			j.mr.Cat = append(j.mr.Cat, *cas[i])
+		}
+	}
+	return nil
+}
+
 // Run executes the whole methodology over every macro for one DfT
-// setting. The good-space Monte Carlo is compiled concurrently with the
-// defect-sprinkle/fault-collapsing front half — the two share no state
-// until detection — and joined before the first class analysis, so the
-// serial prelude no longer gates the pipeline. The result is
-// bit-identical to the historical fully-sequential traversal: every
-// Monte Carlo stage draws from its own RNG stream and the merge order
-// is canonical.
+// setting. The good-space Monte Carlo and the nominal responses are
+// compiled concurrently with the defect-sprinkle/fault-collapsing front
+// half — they share no state until detection — and joined before the
+// first class analysis. The macros' discoveries, and then all of their
+// class analyses, fan out over Workers goroutines. The result is
+// byte-identical to the fully-sequential traversal for any worker
+// count: every Monte Carlo stage draws from its own RNG stream, every
+// analysis depends only on its class, and the merge order is canonical.
 func (p *Pipeline) Run(ctx context.Context, dft bool) (*Run, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -711,17 +744,21 @@ func (p *Pipeline) Run(ctx context.Context, dft bool) (*Run, error) {
 	goodDone := make(chan error, 1)
 	go func() {
 		_, err := p.GoodSpace(gctx, dft)
+		if err == nil {
+			_, err = p.nominals(gctx, dft)
+		}
 		goodDone <- err
 	}()
-	out := &Run{Cfg: p.Cfg, DfT: dft}
-	for _, m := range p.all {
-		mr, err := p.DiscoverClasses(ctx, m.Name(), dft)
-		if err != nil {
-			cancel()
-			<-goodDone
-			return nil, err
-		}
-		out.Macros = append(out.Macros, mr)
+	out := &Run{Cfg: p.Cfg, DfT: dft, Macros: make([]*MacroRun, len(p.all))}
+	err := forEach(ctx, len(p.all), p.workers(), func(ctx context.Context, i int) error {
+		mr, err := p.DiscoverClasses(ctx, p.all[i].Name(), dft)
+		out.Macros[i] = mr
+		return err
+	})
+	if err != nil {
+		cancel()
+		<-goodDone
+		return nil, err
 	}
 	if err := <-goodDone; err != nil {
 		return nil, err
@@ -731,18 +768,8 @@ func (p *Pipeline) Run(ctx context.Context, dft bool) (*Run, error) {
 		return nil, err
 	}
 	out.Good = good
-	for _, mr := range out.Macros {
-		for _, t := range p.analysisTargets(mr) {
-			ca, err := p.AnalyzeClass(ctx, mr.Name, mr.Classes[t.Index], t.NonCat, dft)
-			if err != nil {
-				return nil, err
-			}
-			if t.NonCat {
-				mr.NonCat = append(mr.NonCat, *ca)
-			} else {
-				mr.Cat = append(mr.Cat, *ca)
-			}
-		}
+	if err := p.analyze(ctx, out.Macros, dft, p.workers()); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

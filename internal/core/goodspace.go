@@ -9,38 +9,35 @@
 // index order — exactly the slice the serial loop would have produced,
 // so signature.Compile sees bit-identical input for any worker count.
 //
-// Pool ownership rules: every die worker owns a private EnginePool and
-// Baselines pair. The per-die variations never repeat, so routing them
-// through the pipeline's shared caches would only flood those with
+// Pool ownership rules: the compile owns a private EnginePool and
+// Baselines pair, shared by its die workers (both are safe for
+// concurrent checkouts). The per-die variations never repeat, so routing
+// them through the pipeline's shared caches would only flood those with
 // engines and baselines no later analysis can ever hit; a private pool
-// still gives the intra-die reuse that matters (the comparator's
-// lo/hi transients share one engine), and it is dropped when the
-// compile ends. Within one die, the four chip-composition macros are
-// independent circuits; when the worker group has more workers than
-// remaining dies the surplus fans out those macro transients
-// (partsFor's env.fanout).
+// still gives the reuse that matters (the comparator's lo/hi transients
+// share one engine, later dies revalue earlier dies' engines), and it is
+// dropped when the compile ends. Within one die, the four
+// chip-composition macros are independent circuits; when the worker
+// group has more workers than dies the surplus fans out those macro
+// transients (partsFor's env.fanout).
 package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/macros"
 	"repro/internal/obs"
 	"repro/internal/signature"
-	"repro/internal/spice"
 )
 
-// goodSpaceWorkers resolves the die-level worker count (see the
-// GoodSpaceWorkers field: 0 is automatic).
-func (p *Pipeline) goodSpaceWorkers() int {
-	if p.GoodSpaceWorkers > 0 {
-		return p.GoodSpaceWorkers
+// workers resolves the pipeline's fan-out bound (see the Workers field:
+// 0 is automatic).
+func (p *Pipeline) workers() int {
+	if p.Workers > 0 {
+		return p.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -83,143 +80,29 @@ func (p *Pipeline) goodDie(ctx context.Context, i int, dft bool, env partsEnv, m
 }
 
 // goodSamples produces the per-die responses in index order. Workers
-// claim die indexes from a shared counter — which worker runs which die
-// is schedule-dependent, but each die depends only on its index, so the
-// index-ordered slice is invariant. Cancelling ctx aborts the group in
-// bounded time: the cancellation reaches into the solvers, and every
-// worker re-checks the context between dies.
+// claim die indexes through forEach — which worker runs which die is
+// schedule-dependent, but each die depends only on its index, so the
+// index-ordered slice is invariant.
 func (p *Pipeline) goodSamples(ctx context.Context, dft bool, met *obs.Metrics) ([]*signature.Response, error) {
 	n := p.Cfg.MCSamples
 	samples := make([]*signature.Response, n)
-	workers := p.goodSpaceWorkers()
-	if workers <= 1 {
-		// Serial compile. The pool/baseline pair is still private to the
-		// compile (not the pipeline's shared caches) — see the package
-		// comment's ownership rules.
-		env := partsEnv{pool: macros.NewEnginePool(), base: macros.NewBaselines()}
-		for i := 0; i < n; i++ {
-			r, err := p.goodDie(ctx, i, dft, env, met)
-			if err != nil {
-				return nil, err
-			}
-			samples[i] = r
-		}
-		return samples, nil
-	}
-
+	workers := p.workers()
 	// Surplus workers beyond the die count fan out the four macro
 	// transients inside each die instead of idling.
 	fanout := 1
-	dieWorkers := workers
 	if n > 0 && workers > n {
-		dieWorkers = n
-		fanout = (workers + n - 1) / n
-		if fanout > 4 {
-			fanout = 4
-		}
+		fanout = min((workers+n-1)/n, 4)
 	}
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var next atomic.Int64
-	errs := make([]error, dieWorkers)
-	var wg sync.WaitGroup
-	for w := 0; w < dieWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			env := partsEnv{pool: macros.NewEnginePool(), base: macros.NewBaselines(), fanout: fanout}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || gctx.Err() != nil {
-					return
-				}
-				r, err := p.goodDie(gctx, i, dft, env, met)
-				if err != nil {
-					errs[w] = err
-					cancel() // abort the group on first failure
-					return
-				}
-				samples[i] = r
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Prefer a real failure over the secondary cancellations it caused.
-	var cancelErr error
-	for _, err := range errs {
-		switch {
-		case err == nil:
-		case spice.IsCancelled(err):
-			if cancelErr == nil {
-				cancelErr = err
-			}
-		default:
-			return nil, err
-		}
-	}
-	if cancelErr != nil {
-		return nil, cancelErr
-	}
-	if err := ctx.Err(); err != nil {
+	// The pool/baseline pair is private to the compile, never the
+	// pipeline's shared caches — see the package comment.
+	env := partsEnv{pool: macros.NewEnginePool(), base: macros.NewBaselines(), fanout: fanout}
+	err := forEach(ctx, n, workers, func(ctx context.Context, i int) error {
+		r, err := p.goodDie(ctx, i, dft, env, met)
+		samples[i] = r
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return samples, nil
-}
-
-// partsFanout simulates the independent chip-composition macros on a
-// bounded goroutine group (the env.fanout > 1 arm of partsFor). Results
-// land in per-macro slots, so assembly order — and therefore the
-// returned map — is independent of scheduling.
-func (p *Pipeline) partsFanout(ctx context.Context, ms []macros.Macro, opt macros.RespondOpts, fanout int) (map[string]*signature.Response, error) {
-	if fanout > len(ms) {
-		fanout = len(ms)
-	}
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resps := make([]*signature.Response, len(ms))
-	errs := make([]error, len(ms))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < fanout; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ms) || gctx.Err() != nil {
-					return
-				}
-				resp, err := ms[i].Respond(gctx, nil, opt)
-				if err != nil {
-					errs[i] = err
-					cancel()
-					return
-				}
-				resps[i] = resp
-			}
-		}()
-	}
-	wg.Wait()
-	for i, m := range ms {
-		if err := errs[i]; err != nil && !spice.IsCancelled(err) {
-			return nil, fmt.Errorf("core: nominal %s: %w", m.Name(), err)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err // a cancellation
-		}
-	}
-	parts := make(map[string]*signature.Response, len(ms))
-	for i, m := range ms {
-		if resps[i] == nil {
-			// Skipped because the group was cancelled underneath us.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, context.Canceled
-		}
-		parts[m.Name()] = resps[i]
-	}
-	return parts, nil
 }

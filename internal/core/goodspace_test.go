@@ -41,7 +41,7 @@ func TestGoodSpaceMatchesSerial(t *testing.T) {
 	compile := func(workers int) (*signature.GoodSpace, core.Detection) {
 		t.Helper()
 		p := core.NewPipeline(cfg)
-		p.GoodSpaceWorkers = workers
+		p.Workers = workers
 		g, err := p.GoodSpace(ctx, false)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -82,7 +82,7 @@ func TestGoodSpaceCancelledMidCompile(t *testing.T) {
 	cfg := goodSpaceTestCfg()
 	cfg.MCSamples = 64 // long enough that cancellation lands mid-compile
 	p := core.NewPipeline(cfg)
-	p.GoodSpaceWorkers = 4
+	p.Workers = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(100 * time.Millisecond)
@@ -119,7 +119,7 @@ func TestGoodSpaceSingleFlight(t *testing.T) {
 	agg := obs.NewAgg()
 	p := core.NewPipeline(cfg)
 	p.Obs = obs.New(agg)
-	p.GoodSpaceWorkers = 2
+	p.Workers = 2
 
 	const callers = 8
 	results := make([]*signature.GoodSpace, callers)

@@ -140,15 +140,15 @@ func (p *Pipeline) RunParallel(ctx context.Context, dft bool, opts campaign.Opti
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The good-space Monte Carlo inherits the campaign's worker count
-	// when no explicit die-level bound was set: the campaign workers sit
-	// idle in the sprinkle barrier anyway while the good space compiles,
-	// so the same parallelism budget applies.
-	if p.GoodSpaceWorkers == 0 {
+	// The pipeline's own fan-out (the good-space Monte Carlo) inherits
+	// the campaign's worker count when no explicit bound was set: the
+	// campaign workers sit idle in the sprinkle barrier anyway while the
+	// good space compiles, so the same parallelism budget applies.
+	if p.Workers == 0 {
 		if opts.Workers > 0 {
-			p.GoodSpaceWorkers = opts.Workers
+			p.Workers = opts.Workers
 		} else {
-			p.GoodSpaceWorkers = runtime.GOMAXPROCS(0)
+			p.Workers = runtime.GOMAXPROCS(0)
 		}
 	}
 	// Overlap the good-space compile with the campaign's defect-sprinkle

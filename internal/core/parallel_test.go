@@ -48,7 +48,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Skip("full pipeline comparison in -short mode")
 	}
 	cfg := parallelTestCfg()
-	serial, err := core.NewPipeline(cfg).Run(context.Background(), false)
+	ref := core.NewPipeline(cfg)
+	ref.Workers = 1 // the strictly serial reference
+	serial, err := ref.Run(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -274,7 +274,7 @@ func (j *Job) run(ctx context.Context) {
 		p.Obs = obs.New(obs.NewAgg(), j.streamer)
 		// The good-space Monte Carlo stays on the local budget; only the
 		// campaign pool gets the remote surplus below.
-		p.GoodSpaceWorkers = j.workers()
+		p.Workers = j.workers()
 		opts := campaign.Options{
 			// Surplus workers beyond the local budget serve remote
 			// leases: a unit picked by any worker is first offered to a

@@ -324,7 +324,7 @@ func Cases() []Case {
 			run := func() *obs.Agg {
 				agg := obs.NewAgg()
 				p := core.NewPipeline(cfg)
-				p.GoodSpaceWorkers = 1
+				p.Workers = 1
 				p.Obs = obs.New(agg)
 				if _, err := p.GoodSpace(context.Background(), false); err != nil {
 					b.Fatal(err)

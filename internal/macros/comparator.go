@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/adc"
 	"repro/internal/faults"
@@ -27,9 +26,6 @@ type ComparatorMacro struct {
 	Veh Vehicle
 	// VRef is the reference tap this slice compares against.
 	VRef float64
-
-	mu     sync.Mutex
-	offNom map[bool]float64 // design (fault-free) offset per DfT setting
 }
 
 // NewComparator returns the comparator macro of the given vehicle with
@@ -41,45 +37,26 @@ func NewComparator(veh Vehicle) *ComparatorMacro {
 // NewComparatorWithRef returns a comparator slice of the given vehicle
 // comparing against the given reference tap voltage.
 func NewComparatorWithRef(veh Vehicle, vref float64) *ComparatorMacro {
-	return &ComparatorMacro{Veh: veh, VRef: vref, offNom: map[bool]float64{}}
+	return &ComparatorMacro{Veh: veh, VRef: vref}
 }
 
 // nominalOffset returns the comparator's design offset (charge injection
 // and kickback are not perfectly balanced, exactly as in silicon). Fault
 // signatures are classified on the offset *deviation* from this value —
 // the systematic part is shared by all of the vehicle's slices and
-// therefore part of the good signature.
+// therefore part of the good signature. The bisection runs once per
+// (vref, DfT) and baseline cache, shared by every comparator testbench
+// that caches through it (the bias generator's included); the caller's
+// pool and baseline cache are threaded through so the bisection's
+// engines are rebind-served like any other fault-free run.
 func (m *ComparatorMacro) nominalOffset(ctx context.Context, dft bool, pool *EnginePool, base *Baselines) (float64, error) {
-	m.mu.Lock()
-	if off, ok := m.offNom[dft]; ok {
-		m.mu.Unlock()
-		return off, nil
-	}
-	m.mu.Unlock()
-	// Bisect OUTSIDE the lock: the offset bisection runs a dozen full
-	// transients, and holding the mutex across it would serialise every
-	// parallel fault-class analysis behind the first caller. The
-	// computation is deterministic, so concurrent first callers compute
-	// the same value and the first store wins. A cancelled bisection is
-	// NOT cached — the next caller recomputes. The caller's pool and
-	// baseline cache are threaded through so the bisection's engines are
-	// rebind-served like any other fault-free run.
-	off, ok, err := m.bisectOffset(ctx, nil, RespondOpts{
-		Var: Nominal(), DfT: dft, Pool: pool, Base: base,
-	}, 0, nil)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		off = 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if prev, ok := m.offNom[dft]; ok {
-		return prev, nil
-	}
-	m.offNom[dft] = off
-	return off, nil
+	return base.comparatorOffset(ctx, offsetKey{vref: m.VRef, dft: dft}, func() (float64, error) {
+		// ok is false only alongside an error (an aborted bisection).
+		off, _, err := m.bisectOffset(ctx, nil, RespondOpts{
+			Var: Nominal(), DfT: dft, Pool: pool, Base: base,
+		}, 0, nil)
+		return off, err
+	})
 }
 
 // Name implements Macro.

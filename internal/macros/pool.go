@@ -1,6 +1,7 @@
 package macros
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -199,8 +200,10 @@ type cmpNomKey struct {
 
 // Baselines memoises fault-free ("good machine") baseline results that
 // class analyses would otherwise re-simulate per class: the ladder's
-// nominal tap voltages under one variation, and the comparator's full
-// fault-free response (the gate-oxide-short worst-case reference).
+// nominal tap voltages under one variation, the comparator's full
+// fault-free response (the gate-oxide-short worst-case reference), and
+// the comparator's design offset (single-flighted: concurrent first
+// callers join one bisection instead of each running their own).
 // Entries are stored only from completed, error-free simulations and
 // only for f == nil runs — a faulty analysis can neither read nor write
 // the cache, so a fault never sees (or poisons) a fault-free baseline.
@@ -214,6 +217,22 @@ type Baselines struct {
 	ladder   map[Variation][]float64
 	ladderNF map[Variation]*spice.NominalFactor
 	cmpNom   map[cmpNomKey]*signature.Response
+	offsets  map[offsetKey]*offsetCall
+}
+
+// offsetKey identifies one comparator design offset: the bisection runs
+// on the nominal die, so only the reference tap and the DfT flag vary.
+type offsetKey struct {
+	vref float64
+	dft  bool
+}
+
+// offsetCall is one design-offset bisection: done closes once off/err
+// are set.
+type offsetCall struct {
+	done chan struct{}
+	off  float64
+	err  error
 }
 
 // NewBaselines returns an empty baseline cache.
@@ -222,6 +241,7 @@ func NewBaselines() *Baselines {
 		ladder:   map[Variation][]float64{},
 		ladderNF: map[Variation]*spice.NominalFactor{},
 		cmpNom:   map[cmpNomKey]*signature.Response{},
+		offsets:  map[offsetKey]*offsetCall{},
 	}
 }
 
@@ -298,5 +318,41 @@ func (b *Baselines) storeComparatorNominal(k cmpNomKey, r *signature.Response) {
 	defer b.mu.Unlock()
 	if _, ok := b.cmpNom[k]; !ok {
 		b.cmpNom[k] = r
+	}
+}
+
+// comparatorOffset returns the design offset for k, running compute on a
+// miss. Concurrent callers of one key share a single compute; a failed
+// (cancelled) compute is not cached, and a waiter whose own context is
+// still live retries it. A nil *Baselines just computes.
+func (b *Baselines) comparatorOffset(ctx context.Context, k offsetKey, compute func() (float64, error)) (float64, error) {
+	if b == nil {
+		return compute()
+	}
+	for {
+		b.mu.Lock()
+		c, ok := b.offsets[k]
+		if !ok {
+			c = &offsetCall{done: make(chan struct{})}
+			b.offsets[k] = c
+			b.mu.Unlock()
+			c.off, c.err = compute()
+			if c.err != nil {
+				b.mu.Lock()
+				delete(b.offsets, k)
+				b.mu.Unlock()
+			}
+			close(c.done)
+			return c.off, c.err
+		}
+		b.mu.Unlock()
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
+		if c.err == nil || !spice.IsCancelled(c.err) || ctx.Err() != nil {
+			return c.off, c.err
+		}
 	}
 }

@@ -2,13 +2,18 @@ package macros
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/signature"
+	"repro/internal/spice"
 )
 
 // TestPooledRespondBitIdentical pins the engine-pool reuse contract: a
@@ -218,6 +223,95 @@ func TestLadderBaselineCacheBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(wantFree, gotFree) {
 		t.Fatalf("fault-free response through a used cache diverged:\nwant %+v\ngot  %+v", wantFree, gotFree)
+	}
+}
+
+// TestNominalFactorConcurrentPlan: a fresh shared nominal factorization
+// must be safe to plan faults against from many goroutines at once.
+// Planning an open looks its far-terminal element up by name, which on a
+// cold circuit would lazily build the element index — a concurrent map
+// write that -race (or the runtime itself) flags unless the factor
+// materialised the index before it was shared.
+func TestNominalFactorConcurrentPlan(t *testing.T) {
+	l := NewLadder(DefaultVehicle())
+	opt := RespondOpts{Var: Nominal()}
+	nf, err := spice.NewNominalFactor(l.buildLadderCircuit(opt.Var).C, opt.simOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			k := 10 + 20*g
+			f := faults.Fault{Kind: faults.Open, Nets: []string{tapName(k)},
+				FarTerminals: []faults.Terminal{{Device: fmt.Sprintf("r%03d", k), Net: tapName(k)}}}
+			plan, err := faults.Plan(nf.Ckt(), f, procShared, faults.InjectOptions{})
+			if err != nil || !plan.TopologyChanged {
+				t.Errorf("goroutine %d: plan = %+v, %v; want a topology change", g, plan, err)
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestComparatorOffsetSingleFlight: concurrent first callers of one
+// design-offset key share a single computation, and a cancelled
+// computation is not cached — the next caller recomputes.
+func TestComparatorOffsetSingleFlight(t *testing.T) {
+	base := NewBaselines()
+	ctx := context.Background()
+	k := offsetKey{vref: 1.5}
+	var calls atomic.Int32
+	compute := func() (float64, error) {
+		calls.Add(1)
+		time.Sleep(20 * time.Millisecond)
+		return 0.25, nil
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if off, err := base.comparatorOffset(ctx, k, compute); err != nil || off != 0.25 {
+				t.Errorf("offset = %g, %v", off, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("%d computations for one key, want 1", n)
+	}
+
+	other := offsetKey{vref: 1.5, dft: true}
+	if _, err := base.comparatorOffset(ctx, other, func() (float64, error) {
+		return 0, context.Canceled
+	}); !spice.IsCancelled(err) {
+		t.Fatalf("cancelled compute: err = %v", err)
+	}
+	if off, err := base.comparatorOffset(ctx, other, compute); err != nil || off != 0.25 || calls.Load() != 2 {
+		t.Fatalf("retry after cancellation: offset %g, err %v, %d computations", off, err, calls.Load())
+	}
+}
+
+// TestComparatorOffsetSharedAcrossMacros: the pipeline's comparator and
+// the bias generator's private comparator bisect the same design offset,
+// so through one baseline cache the second lookup is a hit.
+func TestComparatorOffsetSharedAcrossMacros(t *testing.T) {
+	ctx := context.Background()
+	base, pool := NewBaselines(), NewEnginePool()
+	want, err := NewComparator(DefaultVehicle()).nominalOffset(ctx, false, pool, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewBiasgen(DefaultVehicle()).cmp.nominalOffset(ctx, false, pool, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || len(base.offsets) != 1 {
+		t.Fatalf("biasgen offset %g vs comparator %g over %d cached keys, want one shared entry",
+			got, want, len(base.offsets))
 	}
 }
 

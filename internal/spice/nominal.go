@@ -43,6 +43,11 @@ type NominalFactor struct {
 func NewNominalFactor(ckt *netlist.Circuit, opt Options) (*NominalFactor, error) {
 	opt.Metrics = nil
 	opt.OPTrace = nil
+	// Materialise the circuit's lazy element-name index now, while the
+	// factor is still private: fault planning against Ckt() looks
+	// elements up by name, and a first lookup would otherwise write the
+	// index from whichever goroutines share the factor.
+	ckt.Element("")
 	e := New(ckt, opt)
 	prog := e.prog(netlist.DCOp)
 	for _, seg := range prog.Segs {

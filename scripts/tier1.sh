@@ -32,8 +32,11 @@
 #                        sprinkle→collapse→inject→classify→detect flow
 #                        (runs under SHORT=1 too: it is the only stage
 #                        covering a non-default vehicle end-to-end)
-#   9. campaignd smoke — (skipped with SHORT=1) start the job server,
-#                        submit a -quick job over HTTP, stream it to
+#   9. campaignd smoke — (skipped with SHORT=1) check that dotest's
+#                        in-process Run, parallel and serial, matches
+#                        the campaign engine byte for byte; then start
+#                        the job server, submit a -quick job over
+#                        HTTP, stream it to
 #                        completion, verify the result bytes are
 #                        identical to a direct `dotest -quick` run, and
 #                        shut the daemon down with SIGTERM (exit 130)
@@ -135,6 +138,15 @@ if [ -z "${SHORT:-}" ]; then
 	go build -o "$tmp/campaignctl" ./cmd/campaignctl
 
 	"$tmp/dotest" -quick -dft pre -workers 0 -json "$tmp/ref.json" >/dev/null
+
+	# Pipeline.Run must match the campaign engine byte for byte, both
+	# with its default fan-out (discoveries and class analyses spread
+	# over GOMAXPROCS workers) and strictly serial (-gsworkers 1).
+	"$tmp/dotest" -quick -dft pre -json "$tmp/run.json" >/dev/null
+	cmp "$tmp/ref.json" "$tmp/run.json"
+	"$tmp/dotest" -quick -dft pre -gsworkers 1 -json "$tmp/serial.json" >/dev/null
+	cmp "$tmp/ref.json" "$tmp/serial.json"
+	echo "tier1: parallel and serial Run byte-identical to the campaign engine"
 
 	"$tmp/campaignd" -addr 127.0.0.1:0 -addrfile "$tmp/addr" -store "$tmp/ckpts" &
 	dpid=$!
