@@ -1,6 +1,6 @@
 // Command campaignd serves the defect-oriented test methodology as a
 // multi-tenant campaign job server. Clients POST a job spec (the JSON
-// mirror of the dotest/campaign CLI flags) and get back a job id;
+// mirror of the dotest CLI flags) and get back a job id;
 // progress streams as SSE or JSONL; results are the exact bytes
 // `dotest -json` writes for the same parameters. Identical submissions
 // dedup into a single run, concurrent jobs share a bounded global
@@ -10,16 +10,12 @@
 // Usage:
 //
 //	campaignd [-addr host:port] [-addrfile file] [-store dir]
-//	          [-objstore URL] [-budget N] [-grace dur]
-//	          [-remoteslots N] [-leasettl dur]
+//	          [-budget N] [-grace dur] [-remoteslots N] [-leasettl dur]
 //
 // Remote campaignw workers connect over the lease protocol and add
 // execution capacity beyond -budget: up to -remoteslots units at a time
 // are leased out to parked workers, heartbeat-renewed, and re-queued
-// locally if a worker goes silent for -leasettl. -objstore replaces the
-// directory checkpoint store with an HTTP object bucket (see the
-// README's "Scaling out across machines"), so a daemon restarted on a
-// different machine still resumes its jobs.
+// locally if a worker goes silent for -leasettl.
 //
 // See the README's "Running as a service" section for the HTTP API and
 // cmd/campaignctl for the matching client.
@@ -61,7 +57,6 @@ func run() int {
 		addr        = flag.String("addr", "127.0.0.1:8120", "listen address (host:port; port 0 picks a free port)")
 		addrFile    = flag.String("addrfile", "", "write the resolved listen address to this file (for scripts using port 0)")
 		storeDir    = flag.String("store", "", "checkpoint directory; \"\" disables checkpoint/resume")
-		objStore    = flag.String("objstore", "", "checkpoint object-bucket base URL (overrides -store)")
 		budget      = flag.Int("budget", 0, "global worker budget shared across jobs (0 = GOMAXPROCS)")
 		remoteSlots = flag.Int("remoteslots", 0, "units leasable to remote campaignw workers at a time (0 = default, negative disables)")
 		leaseTTL    = flag.Duration("leasettl", 0, "remote lease lifetime between heartbeats (0 = default)")
@@ -77,9 +72,6 @@ func run() int {
 	}
 	if *storeDir != "" {
 		opts.Store = campaign.DirStore{Dir: *storeDir}
-	}
-	if *objStore != "" {
-		opts.Store = campaign.NewHTTPObjectStore(*objStore)
 	}
 	srv := jobserver.New(opts)
 

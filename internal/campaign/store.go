@@ -98,17 +98,10 @@ const ckptExt = ".ckpt.json"
 // String names the store in engine errors.
 func (s DirStore) String() string { return s.Dir }
 
-// contentAddress maps a fingerprint to its content-addressed filename,
-// shared by DirStore (files in a directory) and ObjectStore (keys in a
-// bucket) so the two layouts are interchangeable.
-func contentAddress(fingerprint string) string {
-	sum := sha256.Sum256([]byte(fingerprint))
-	return hex.EncodeToString(sum[:16]) + ckptExt
-}
-
 // path maps a fingerprint to its content address inside the directory.
 func (s DirStore) path(fingerprint string) string {
-	return filepath.Join(s.Dir, contentAddress(fingerprint))
+	sum := sha256.Sum256([]byte(fingerprint))
+	return filepath.Join(s.Dir, hex.EncodeToString(sum[:16])+ckptExt)
 }
 
 // Load reads the checkpoint stored for fingerprint (nil when absent).

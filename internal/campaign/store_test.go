@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -129,4 +130,83 @@ func TestExecuteWithDirStore(t *testing.T) {
 	if fps, err := st.List(); err != nil || !reflect.DeepEqual(fps, []string{"cfg-a", "cfg-b"}) {
 		t.Fatalf("list = %v, %v", fps, err)
 	}
+}
+
+// storeContention is the last-writer-wins contract check: many
+// goroutines concurrently Save the same fingerprint with distinct
+// payloads; every concurrent Load must observe one of the saved
+// checkpoints in full (no torn reads, no mixed payloads), and the final
+// Load must be one writer's complete checkpoint. List stays
+// deterministic (sorted) throughout.
+func storeContention(t *testing.T, st Store) {
+	t.Helper()
+	const writers, rounds = 8, 20
+	payload := func(w, r int) *Checkpoint {
+		tag := fmt.Sprintf(`{"writer":%d,"round":%d}`, w, r)
+		return &Checkpoint{
+			Version:     checkpointVersion,
+			Fingerprint: "contended",
+			Units:       w,
+			Results: map[string]json.RawMessage{
+				"a": json.RawMessage(tag),
+				"b": json.RawMessage(tag),
+			},
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, writers*2)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err := st.Save(payload(w, r)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				ck, err := st.Load("contended")
+				if err != nil {
+					errs <- err
+					return
+				}
+				if ck == nil {
+					continue // reader outran the first write
+				}
+				// Untorn: both payload halves must agree on the writer.
+				if string(ck.Results["a"]) != string(ck.Results["b"]) {
+					errs <- fmt.Errorf("torn read: a=%s b=%s", ck.Results["a"], ck.Results["b"])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	ck, err := st.Load("contended")
+	if err != nil || ck == nil {
+		t.Fatalf("final load: %v, %v", ck, err)
+	}
+	if string(ck.Results["a"]) != string(ck.Results["b"]) {
+		t.Fatalf("final checkpoint torn: a=%s b=%s", ck.Results["a"], ck.Results["b"])
+	}
+	fps, err := st.List()
+	if err != nil || !reflect.DeepEqual(fps, []string{"contended"}) {
+		t.Fatalf("list after contention = %v, %v", fps, err)
+	}
+}
+
+// TestDirStoreContention: concurrent same-fingerprint saves to the
+// content-addressed directory are last-writer-wins (atomic rename), and
+// readers never see a torn checkpoint.
+func TestDirStoreContention(t *testing.T) {
+	storeContention(t, DirStore{Dir: t.TempDir()})
 }

@@ -1,10 +1,11 @@
 // Job-scoped campaign entry: a JobSpec is the wire form of one campaign
-// submission to the job server (or any other embedder). It mirrors the
-// CLI flag semantics of cmd/dotest and cmd/campaign exactly — a POSTed
-// {"quick":true} resolves to the same Config as `dotest -quick`, and an
-// explicit field overrides the quick preset the way flag.Visit re-applies
-// explicit flags — so an HTTP submission is byte-identical to the CLI
-// run of the same spec.
+// submission to the job server (or any other embedder), and the one
+// configuration resolver of the methodology: cmd/dotest fills a JobSpec
+// from its flags and runs spec.Config(). A POSTed {"quick":true}
+// therefore resolves to the same Config as `dotest -quick`, an explicit
+// field overrides the quick preset exactly as the matching flag does,
+// and an HTTP submission is byte-identical to the CLI run of the same
+// spec.
 package core
 
 import (

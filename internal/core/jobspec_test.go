@@ -18,8 +18,8 @@ func TestJobSpecConfigMirrorsCLI(t *testing.T) {
 	if got := (JobSpec{}).Config(); got != DefaultConfig() {
 		t.Fatalf("empty spec = %+v, want %+v", got, DefaultConfig())
 	}
-	// An explicit override survives the quick preset, like flag.Visit
-	// re-applies -mc/-nsigma after -quick.
+	// An explicit override survives the quick preset, like
+	// dotest -quick -mc 5 -nsigma 2.5.
 	got := JobSpec{Quick: true, MCSamples: 5, NSigma: 2.5}.Config()
 	want := QuickConfig()
 	want.MCSamples = 5

@@ -186,29 +186,3 @@ func (c *Circuit) Rebind(b *Binding) (aChanged bool, err error) {
 	}
 	return aChanged, nil
 }
-
-// Rebind applies the binding through a compiled stamp program: only
-// elements the program dispatches are eligible. Mode-gated elements
-// dropped at compile time (capacitors in a DCOp program) are unknown
-// here — engines holding multiple per-mode programs should rebind at
-// the circuit level instead, which this method exists to complement
-// for callers that hold only a program.
-func (p *StampProgram) Rebind(b *Binding) (aChanged bool, err error) {
-	byName := make(map[string]Element, len(p.Items))
-	for _, it := range p.Items {
-		byName[it.El.Name()] = it.El
-	}
-	for i := range b.items {
-		it := &b.items[i]
-		el, ok := byName[it.label]
-		if !ok {
-			return aChanged, fmt.Errorf("netlist: rebind: no element %q in program", it.label)
-		}
-		ch, err := applySlot(el, it)
-		if err != nil {
-			return aChanged, err
-		}
-		aChanged = aChanged || ch
-	}
-	return aChanged, nil
-}

@@ -8,7 +8,7 @@ import (
 )
 
 // JSONLWriter is a Sink streaming one WireRecord per span to w —
-// the `-trace` output of cmd/dotest and cmd/campaign. Writes are
+// the `-trace` output of cmd/dotest. Writes are
 // serialised internally; ordering across concurrent workers follows
 // span completion, not span start.
 type JSONLWriter struct {

@@ -34,7 +34,9 @@
 #                        covering a non-default vehicle end-to-end)
 #   9. campaignd smoke — (skipped with SHORT=1) check that dotest's
 #                        in-process Run, parallel and serial, matches
-#                        the campaign engine byte for byte; then start
+#                        the campaign engine byte for byte, and so does
+#                        a checkpointed engine run and its -resume;
+#                        then start
 #                        the job server, submit a -quick job over
 #                        HTTP, stream it to
 #                        completion, verify the result bytes are
@@ -147,6 +149,14 @@ if [ -z "${SHORT:-}" ]; then
 	"$tmp/dotest" -quick -dft pre -gsworkers 1 -json "$tmp/serial.json" >/dev/null
 	cmp "$tmp/ref.json" "$tmp/serial.json"
 	echo "tier1: parallel and serial Run byte-identical to the campaign engine"
+
+	# A checkpointed engine run, and a -resume that restores every unit
+	# from its checkpoint, must both reproduce the same bytes.
+	"$tmp/dotest" -quick -dft pre -workers 0 -checkpoint "$tmp/ck" -json "$tmp/ck.json" >/dev/null
+	cmp "$tmp/ref.json" "$tmp/ck.json"
+	"$tmp/dotest" -quick -dft pre -workers 0 -checkpoint "$tmp/ck" -resume -json "$tmp/ck.json" >/dev/null
+	cmp "$tmp/ref.json" "$tmp/ck.json"
+	echo "tier1: checkpointed and resumed engine runs byte-identical"
 
 	"$tmp/campaignd" -addr 127.0.0.1:0 -addrfile "$tmp/addr" -store "$tmp/ckpts" &
 	dpid=$!
