@@ -18,11 +18,11 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/defectsim"
 	"repro/internal/faults"
 	"repro/internal/macros"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/process"
 	"repro/internal/signature"
@@ -193,7 +193,7 @@ func (r *Run) Macro(name string) *MacroRun {
 
 // Pipeline binds the macro set to a configuration. A Pipeline is safe
 // for concurrent AnalyzeClass/RunMacro calls: the lazy caches below are
-// mutex-guarded, and the macros themselves are either stateless or
+// compute-once memos, and the macros themselves are either stateless or
 // internally synchronised.
 type Pipeline struct {
 	Cfg  Config
@@ -218,22 +218,13 @@ type Pipeline struct {
 	decoder *macros.DecoderMacro
 	all     []macros.Macro
 
-	// mu guards the lazy caches — nominal per-macro responses and
-	// compiled good spaces per DfT flag — and the in-flight good-space
-	// compile registry. The compile itself runs outside the lock so
-	// campaign workers can join an in-progress compile (or run other
-	// units) instead of serialising behind it.
-	mu        sync.Mutex
-	nomParts  map[bool]map[string]*signature.Response
-	good      map[bool]*signature.GoodSpace
-	goodCalls map[bool]*goodCall
-
-	// discovered caches class discoveries per "dft/macro" for
-	// ExecuteUnit (the remote-worker path, where many class units of one
-	// macro arrive independently); discoverCalls single-flights the
-	// in-progress ones, mirroring goodCalls.
-	discovered    map[string]*MacroRun
-	discoverCalls map[string]*discoverCall
+	// The compute-once results (see internal/memo): nominal per-macro
+	// responses and compiled good spaces per DfT flag, and class
+	// discoveries per "dft/macro" for ExecuteUnit (the remote-worker
+	// path, where many class units of one macro arrive independently).
+	nomParts   memo.Map[bool, map[string]*signature.Response]
+	good       memo.Map[bool, *signature.GoodSpace]
+	discovered memo.Map[string, *MacroRun]
 
 	// pool reuses fault-free simulation engines across class analyses
 	// (checkout semantics — concurrent campaign workers each hold at
@@ -250,22 +241,16 @@ type Pipeline struct {
 func NewPipeline(cfg Config) *Pipeline {
 	veh := cfg.Vehicle()
 	p := &Pipeline{
-		Cfg:       cfg,
-		Proc:      process.Default(),
-		veh:       veh,
-		cmp:       macros.NewComparator(veh),
-		ladder:    macros.NewLadder(veh),
-		biasgen:   macros.NewBiasgen(veh),
-		clock:     macros.NewClockgen(veh),
-		decoder:   macros.NewDecoder(veh),
-		nomParts:  map[bool]map[string]*signature.Response{},
-		good:      map[bool]*signature.GoodSpace{},
-		goodCalls: map[bool]*goodCall{},
-
-		discovered:    map[string]*MacroRun{},
-		discoverCalls: map[string]*discoverCall{},
-		pool:          macros.NewEnginePool(),
-		base:          macros.NewBaselines(),
+		Cfg:     cfg,
+		Proc:    process.Default(),
+		veh:     veh,
+		cmp:     macros.NewComparator(veh),
+		ladder:  macros.NewLadder(veh),
+		biasgen: macros.NewBiasgen(veh),
+		clock:   macros.NewClockgen(veh),
+		decoder: macros.NewDecoder(veh),
+		pool:    macros.NewEnginePool(),
+		base:    macros.NewBaselines(),
 	}
 	p.all = []macros.Macro{p.cmp, p.ladder, p.biasgen, p.clock, p.decoder}
 	return p
@@ -399,80 +384,30 @@ func (p *Pipeline) Chipify(parts map[string]*signature.Response, faultyMacro str
 	return out
 }
 
-// goodCall is one in-flight good-space compile: done closes once g/err
-// are set, so concurrent callers join the running compile instead of
-// starting a second one (or blocking the pipeline mutex for its whole
-// multi-second duration).
-type goodCall struct {
-	done chan struct{}
-	g    *signature.GoodSpace
-	err  error
-}
-
 // GoodSpace compiles (and caches) the chip-level good-signature space for
 // one DfT setting: a Monte Carlo over dies, each die one shared variation
 // drawn from its own per-die RNG stream — the same dies regardless of
 // DfT setting, sampling order, worker count or parallel scheduling (see
-// goodspace.go for the die-sharded compile). Concurrent callers share a
-// single compile; cancelling ctx aborts the wait (and, for the compiling
-// caller, the compile itself) in bounded time. A compile that fails is
-// not cached — the next caller retries.
+// goodspace.go for the die-sharded compile). It is a compute-once result:
+// concurrent callers share a single compile, cancelling ctx aborts the
+// wait (and, for the compiling caller, the compile itself) in bounded
+// time, and a compile that fails is not cached.
 func (p *Pipeline) GoodSpace(ctx context.Context, dft bool) (*signature.GoodSpace, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for {
-		p.mu.Lock()
-		if g, ok := p.good[dft]; ok {
-			p.mu.Unlock()
-			return g, nil
-		}
-		if c, ok := p.goodCalls[dft]; ok {
-			p.mu.Unlock()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if c.err == nil {
-				return c.g, nil
-			}
-			if spice.IsCancelled(c.err) && ctx.Err() == nil {
-				// The compiling caller was cancelled; we were not.
-				// Loop: the registry entry is gone, so we compile.
-				continue
-			}
-			return nil, c.err
-		}
-		c := &goodCall{done: make(chan struct{})}
-		p.goodCalls[dft] = c
-		p.mu.Unlock()
-
-		c.g, c.err = p.compileGoodSpace(ctx, dft)
-		p.mu.Lock()
-		if c.err == nil {
-			p.good[dft] = c.g
-		}
-		delete(p.goodCalls, dft)
-		p.mu.Unlock()
-		close(c.done)
-		return c.g, c.err
-	}
+	g, _, err := p.good.Do(ctx, dft, func() (*signature.GoodSpace, error) {
+		return p.compileGoodSpace(ctx, dft)
+	})
+	return g, err
 }
 
 // nominals returns (and caches) the nominal-variation fault-free parts.
 func (p *Pipeline) nominals(ctx context.Context, dft bool) (map[string]*signature.Response, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if parts, ok := p.nomParts[dft]; ok {
-		return parts, nil
-	}
-	parts, err := p.partsFor(ctx, macros.Nominal(), dft, true, nil, p.sharedEnv())
-	if err != nil {
-		return nil, err
-	}
-	p.nomParts[dft] = parts
-	return parts, nil
+	parts, _, err := p.nomParts.Do(ctx, dft, func() (map[string]*signature.Response, error) {
+		return p.partsFor(ctx, macros.Nominal(), dft, true, nil, p.sharedEnv())
+	})
+	return parts, err
 }
 
 // macroByName resolves a pipeline macro.

@@ -44,7 +44,7 @@ func (p *Pipeline) workers() int {
 
 // compileGoodSpace runs the good-space Monte Carlo and compiles the
 // envelope. It does not touch the pipeline caches — GoodSpace owns the
-// cache and the single-flight registry around this call.
+// compute-once memo around this call.
 func (p *Pipeline) compileGoodSpace(ctx context.Context, dft bool) (*signature.GoodSpace, error) {
 	met := &obs.Metrics{}
 	sp := p.Obs.Start(obs.StageGoodSpace, "", "", dft, met)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -124,4 +125,38 @@ func TestJobSpecFingerprint(t *testing.T) {
 	if base.Fingerprint() != withDefaultBits.Fingerprint() {
 		t.Fatal("explicit default bits split the dedup key")
 	}
+}
+
+// FuzzJobSpec: decoding an arbitrary JSON body into a JobSpec and
+// validating it never panics, and a spec that validates keeps its
+// Fingerprint across a marshal/unmarshal round trip — the job server's
+// dedup key must not depend on how the spec travelled. The seed corpus
+// runs in plain go test.
+func FuzzJobSpec(f *testing.F) {
+	for _, body := range []string{
+		`{}`, `{"quick":true}`, `{"quick":true,"dft":"pre","seed":7,"max_classes_per_macro":2,"mc_samples":4}`,
+		`{"bits":6,"defects":400,"magnitude_defects":1000,"n_sigma":2.5,"floor_a":1e-9,"skip_non_cat":true}`,
+		`{"dft":"sideways"}`, `{"seed":-1}`, `{"bits":3}`, `{"bits":64}`, `{"workers":4}`,
+		`{"n_sigma":1e308,"floor_a":5e-324}`, `{"seed":9223372036854775807}`, `[1]`, `null`, `{"quick":"yes"}`, ``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var s JobSpec
+		if json.Unmarshal(body, &s) != nil || s.Validate() != nil {
+			return
+		}
+		want := s.Fingerprint()
+		raw, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("marshal valid spec %+v: %v", s, err)
+		}
+		var back JobSpec
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("unmarshal %s: %v", raw, err)
+		}
+		if got := back.Fingerprint(); got != want {
+			t.Fatalf("fingerprint changed over a round trip of %s:\n%s\n%s", raw, want, got)
+		}
+	})
 }

@@ -152,8 +152,8 @@ func (p *Pipeline) RunParallel(ctx context.Context, dft bool, opts campaign.Opti
 		}
 	}
 	// Overlap the good-space compile with the campaign's defect-sprinkle
-	// front half: the class-analysis units join the in-flight compile via
-	// GoodSpace's single-flight registry the moment they need it. A real
+	// front half: the class-analysis units join the in-flight compile
+	// through GoodSpace's compute-once memo the moment they need it. A real
 	// compile failure (not a cancellation) dooms every class unit, so it
 	// cancels the campaign instead of letting the units fail one by one.
 	cctx, cancelCampaign := context.WithCancel(ctx)

@@ -5,7 +5,7 @@
 // units reference their class by index into the macro's collapsed
 // catalogue; the catalogue itself is deterministic (per-stage RNG
 // streams), so the worker re-derives it locally — once per macro, via a
-// single-flight cache — and byte-identity with local execution follows
+// compute-once memo — and byte-identity with local execution follows
 // from the same determinism the checkpoint/resume path already relies
 // on.
 package core
@@ -50,58 +50,17 @@ func ParseUnitKey(key string) (macro string, index int, nonCat, isClass bool, er
 	return "", 0, false, false, fmt.Errorf("core: unknown campaign unit key %q", key)
 }
 
-// discoverCall is one in-flight class discovery, single-flighted per
-// (macro, dft) so a worker leasing many classes of one macro pays the
-// sprinkle exactly once.
-type discoverCall struct {
-	done chan struct{}
-	run  *MacroRun
-	err  error
-}
-
 // discoverCached runs (or joins, or serves from cache) the class
-// discovery of one macro. The cached *MacroRun is shared — callers must
-// treat it as read-only, which ExecuteUnit does (it marshals it, or
-// indexes its class catalogue).
+// discovery of one macro, a compute-once result per (macro, dft), so a
+// worker leasing many classes of one macro pays the sprinkle exactly
+// once. The cached *MacroRun is shared — callers must treat it as
+// read-only, which ExecuteUnit does (it marshals it, or indexes its
+// class catalogue).
 func (p *Pipeline) discoverCached(ctx context.Context, macroName string, dft bool) (*MacroRun, error) {
-	key := DfTLabel(dft) + "/" + macroName
-	for {
-		p.mu.Lock()
-		if run, ok := p.discovered[key]; ok {
-			p.mu.Unlock()
-			return run, nil
-		}
-		if c, ok := p.discoverCalls[key]; ok {
-			p.mu.Unlock()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if c.err == nil {
-				return c.run, nil
-			}
-			if ctx.Err() == nil {
-				// The discovering caller failed or was cancelled; we are
-				// alive, so loop and take over the discovery ourselves.
-				continue
-			}
-			return nil, c.err
-		}
-		c := &discoverCall{done: make(chan struct{})}
-		p.discoverCalls[key] = c
-		p.mu.Unlock()
-
-		c.run, c.err = p.DiscoverClasses(ctx, macroName, dft)
-		p.mu.Lock()
-		if c.err == nil {
-			p.discovered[key] = c.run
-		}
-		delete(p.discoverCalls, key)
-		p.mu.Unlock()
-		close(c.done)
-		return c.run, c.err
-	}
+	run, _, err := p.discovered.Do(ctx, DfTLabel(dft)+"/"+macroName, func() (*MacroRun, error) {
+		return p.DiscoverClasses(ctx, macroName, dft)
+	})
+	return run, err
 }
 
 // ExecuteUnit executes one campaign unit identified by its key alone —

@@ -149,3 +149,37 @@ func TestExecuteUnitBounds(t *testing.T) {
 		t.Fatal("want unknown-key error")
 	}
 }
+
+// FuzzParseUnitKey: ParseUnitKey never panics, and every key it accepts
+// re-formats (through keyMacro or classKey) to a key that parses to the
+// same components. Unit keys cross the remote-worker trust boundary, so
+// the decoder must be total. The seed corpus runs in plain go test.
+func FuzzParseUnitKey(f *testing.F) {
+	for _, k := range []string{
+		"macro/comparator", "macro/", "macro/a/b",
+		"class/ladder/3/cat", "class/biasgen/0/noncat", "class//0/cat",
+		"class/comparator/-1/cat", "class/comparator/+7/cat", "class/x/1/odd",
+		"class/x/1", "class/x/1/cat/extra", "class/x/99999999999999999999/cat",
+		"", "bogus",
+	} {
+		f.Add(k)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		macro, index, nonCat, isClass, err := ParseUnitKey(key)
+		if err != nil {
+			return
+		}
+		again := keyMacro + macro
+		if isClass {
+			again = classKey(macro, AnalysisTarget{Index: index, NonCat: nonCat})
+		}
+		m2, i2, n2, c2, err := ParseUnitKey(again)
+		if err != nil {
+			t.Fatalf("%q parsed, but its re-formatted key %q does not: %v", key, again, err)
+		}
+		if m2 != macro || i2 != index || n2 != nonCat || c2 != isClass {
+			t.Fatalf("%q → (%q, %d, %v, %v) re-formats to %q → (%q, %d, %v, %v)",
+				key, macro, index, nonCat, isClass, again, m2, i2, n2, c2)
+		}
+	})
+}

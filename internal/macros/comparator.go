@@ -50,13 +50,14 @@ func NewComparatorWithRef(veh Vehicle, vref float64) *ComparatorMacro {
 // pool and baseline cache are threaded through so the bisection's
 // engines are rebind-served like any other fault-free run.
 func (m *ComparatorMacro) nominalOffset(ctx context.Context, dft bool, pool *EnginePool, base *Baselines) (float64, error) {
-	return base.comparatorOffset(ctx, offsetKey{vref: m.VRef, dft: dft}, func() (float64, error) {
+	off, _, err := base.orNone().offsets.Do(ctx, offsetKey{vref: m.VRef, dft: dft}, func() (float64, error) {
 		// ok is false only alongside an error (an aborted bisection).
 		off, _, err := m.bisectOffset(ctx, nil, RespondOpts{
 			Var: Nominal(), DfT: dft, Pool: pool, Base: base,
 		}, 0, nil)
 		return off, err
 	})
+	return off, err
 }
 
 // Name implements Macro.
@@ -407,24 +408,12 @@ func (m *ComparatorMacro) Respond(ctx context.Context, f *faults.Fault, opt Resp
 // error-free responses are stored, and consumers treat the shared
 // response as read-only.
 func (m *ComparatorMacro) nominalResponse(ctx context.Context, opt RespondOpts) (*signature.Response, error) {
-	if opt.Base == nil {
-		return m.Respond(ctx, nil, opt)
-	}
 	key := cmpNomKey{vref: m.VRef, dft: opt.DfT, currentsOnly: opt.CurrentsOnly, v: opt.Var}
-	if r, ok := opt.Base.comparatorNominal(key); ok {
-		// The hit replaces a full fault-free simulation; emit the
-		// counter inside a span so trace sinks see it.
-		sp := opt.span(obs.StageFaultSim, m.Name())
-		opt.Metrics.Add(obs.CtrBaselineCacheHits, 1)
-		sp.End()
-		return r, nil
-	}
-	r, err := m.Respond(ctx, nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	opt.Base.storeComparatorNominal(key, r)
-	return r, nil
+	r, hit, err := opt.Base.orNone().cmpNom.Do(ctx, key, func() (*signature.Response, error) {
+		return m.Respond(ctx, nil, opt)
+	})
+	opt.countBaselineHit(hit, m.Name())
+	return r, err
 }
 
 func (m *ComparatorMacro) respondVariant(ctx context.Context, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant) (*signature.Response, error) {

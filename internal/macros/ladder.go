@@ -124,15 +124,15 @@ func (l *LadderMacro) solveTapsUpdated(ctx context.Context, f *faults.Fault, opt
 		return nil, 0, 0, true, err
 	}
 	sp := opt.span(obs.StageInject, l.Name())
-	nf, hit := opt.Base.ladderFactor(opt.Var)
-	if !hit {
-		var err error
-		nf, err = spice.NewNominalFactor(l.buildLadderCircuit(opt.Var).C, opt.simOptions())
-		if err != nil {
-			sp.End()
-			return nil, 0, 0, false, nil
+	nf, _, err := opt.Base.orNone().ladderFactor.Do(ctx, opt.Var, func() (*spice.NominalFactor, error) {
+		return spice.NewNominalFactor(l.buildLadderCircuit(opt.Var).C, opt.simOptions())
+	})
+	if err != nil {
+		sp.End()
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, 0, 0, true, ctxErr
 		}
-		opt.Base.storeLadderFactor(opt.Var, nf)
+		return nil, 0, 0, false, nil
 	}
 	plan, err := faults.Plan(nf.Ckt(), *f, procShared, faults.InjectOptions{NonCat: opt.NonCat})
 	if err != nil || plan.TopologyChanged {
@@ -170,20 +170,12 @@ func (l *LadderMacro) solveTapsUpdated(ctx context.Context, f *faults.Fault, opt
 // read-only; the circuit is fully determined by the variation (the
 // ladder has no DfT variant), so a hit is bit-for-bit a recompute.
 func (l *LadderMacro) nominalTaps(ctx context.Context, opt RespondOpts) ([]float64, error) {
-	if taps, ok := opt.Base.ladderTaps(opt.Var); ok {
-		// The hit replaces a StageFaultSim solve; emit the counter
-		// inside a span so trace sinks see it.
-		sp := opt.span(obs.StageFaultSim, l.Name())
-		opt.Metrics.Add(obs.CtrBaselineCacheHits, 1)
-		sp.End()
-		return taps, nil
-	}
-	taps, _, _, err := l.solveTaps(ctx, nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	opt.Base.storeLadderTaps(opt.Var, taps)
-	return taps, nil
+	taps, hit, err := opt.Base.orNone().ladderTaps.Do(ctx, opt.Var, func() ([]float64, error) {
+		taps, _, _, err := l.solveTaps(ctx, nil, opt)
+		return taps, err
+	})
+	opt.countBaselineHit(hit, l.Name())
+	return taps, err
 }
 
 // Respond implements Macro. The voltage signature is determined by

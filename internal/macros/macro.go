@@ -148,6 +148,17 @@ func (o *RespondOpts) span(stage, macro string) obs.Span {
 	return o.Obs.Start(stage, macro, o.Class, o.DfT, o.Metrics)
 }
 
+// countBaselineHit records a fault-free baseline served without a
+// simulation when hit is set. The hit replaces a StageFaultSim solve, so
+// the counter is emitted inside a span of that stage for trace sinks.
+func (o *RespondOpts) countBaselineHit(hit bool, macro string) {
+	if hit {
+		sp := o.span(obs.StageFaultSim, macro)
+		o.Metrics.Add(obs.CtrBaselineCacheHits, 1)
+		sp.End()
+	}
+}
+
 // simOptions returns the solver options for this response's simulations
 // (default settings with the counter block attached).
 func (o *RespondOpts) simOptions() spice.Options {

@@ -1,12 +1,12 @@
 package macros
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
 
 	"repro/internal/faults"
+	"repro/internal/memo"
 	"repro/internal/netlist"
 	"repro/internal/signature"
 	"repro/internal/spice"
@@ -200,24 +200,24 @@ type cmpNomKey struct {
 
 // Baselines memoises fault-free ("good machine") baseline results that
 // class analyses would otherwise re-simulate per class: the ladder's
-// nominal tap voltages under one variation, the comparator's full
-// fault-free response (the gate-oxide-short worst-case reference), and
-// the comparator's design offset (single-flighted: concurrent first
-// callers join one bisection instead of each running their own).
-// Entries are stored only from completed, error-free simulations and
-// only for f == nil runs — a faulty analysis can neither read nor write
-// the cache, so a fault never sees (or poisons) a fault-free baseline.
-// Cached values are shared read-only across callers; all consumers only
-// read them, and because the simulations are deterministic, a cache hit
-// returns bit-for-bit the vector a recompute would.
+// nominal tap voltages and nominal factorization under one variation,
+// the comparator's full fault-free response (the gate-oxide-short
+// worst-case reference), and the comparator's design offset. Each is a
+// compute-once memo (internal/memo): concurrent first callers of a key
+// join one compute instead of each running their own, and only
+// completed, error-free results are kept. Entries come only from f == nil
+// runs — a faulty analysis can neither read nor write the cache, so a
+// fault never sees (or poisons) a fault-free baseline. Cached values are
+// shared read-only across callers; all consumers only read them, and
+// because the simulations are deterministic, a cache hit returns
+// bit-for-bit the vector a recompute would.
 //
 // A nil *Baselines disables memoisation.
 type Baselines struct {
-	mu       sync.Mutex
-	ladder   map[Variation][]float64
-	ladderNF map[Variation]*spice.NominalFactor
-	cmpNom   map[cmpNomKey]*signature.Response
-	offsets  map[offsetKey]*offsetCall
+	ladderTaps   *memo.Map[Variation, []float64]
+	ladderFactor *memo.Map[Variation, *spice.NominalFactor]
+	cmpNom       *memo.Map[cmpNomKey, *signature.Response]
+	offsets      *memo.Map[offsetKey, float64]
 }
 
 // offsetKey identifies one comparator design offset: the bisection runs
@@ -227,132 +227,24 @@ type offsetKey struct {
 	dft  bool
 }
 
-// offsetCall is one design-offset bisection: done closes once off/err
-// are set.
-type offsetCall struct {
-	done chan struct{}
-	off  float64
-	err  error
-}
-
 // NewBaselines returns an empty baseline cache.
 func NewBaselines() *Baselines {
 	return &Baselines{
-		ladder:   map[Variation][]float64{},
-		ladderNF: map[Variation]*spice.NominalFactor{},
-		cmpNom:   map[cmpNomKey]*signature.Response{},
-		offsets:  map[offsetKey]*offsetCall{},
+		ladderTaps:   &memo.Map[Variation, []float64]{},
+		ladderFactor: &memo.Map[Variation, *spice.NominalFactor]{},
+		cmpNom:       &memo.Map[cmpNomKey, *signature.Response]{},
+		offsets:      &memo.Map[offsetKey, float64]{},
 	}
 }
 
-// ladderTaps returns the cached nominal tap voltages for one variation.
-func (b *Baselines) ladderTaps(v Variation) ([]float64, bool) {
-	if b == nil {
-		return nil, false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	taps, ok := b.ladder[v]
-	return taps, ok
-}
+// noBaselines is what a nil *Baselines reads as: every memo is nil, and
+// a nil memo just computes.
+var noBaselines = &Baselines{}
 
-// storeLadderTaps records the nominal tap voltages for one variation.
-// First store wins (concurrent computes produce identical vectors).
-func (b *Baselines) storeLadderTaps(v Variation, taps []float64) {
+// orNone returns b, or noBaselines when b is nil.
+func (b *Baselines) orNone() *Baselines {
 	if b == nil {
-		return
+		return noBaselines
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.ladder[v]; !ok {
-		b.ladder[v] = taps
-	}
-}
-
-// ladderFactor returns the cached shared nominal factorization of the
-// ladder under one variation. Like the tap cache, entries are immutable
-// once stored: a NominalFactor is read-only after construction (solves
-// against it never mutate it), so concurrent class analyses share one
-// safely.
-func (b *Baselines) ladderFactor(v Variation) (*spice.NominalFactor, bool) {
-	if b == nil {
-		return nil, false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	nf, ok := b.ladderNF[v]
-	return nf, ok
-}
-
-// storeLadderFactor records the nominal factorization for one variation.
-// First store wins (racing constructions factor the same deterministic
-// system, so whichever lands is equivalent).
-func (b *Baselines) storeLadderFactor(v Variation, nf *spice.NominalFactor) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.ladderNF[v]; !ok {
-		b.ladderNF[v] = nf
-	}
-}
-
-// comparatorNominal returns the cached fault-free comparator response.
-func (b *Baselines) comparatorNominal(k cmpNomKey) (*signature.Response, bool) {
-	if b == nil {
-		return nil, false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r, ok := b.cmpNom[k]
-	return r, ok
-}
-
-// storeComparatorNominal records a fault-free comparator response.
-func (b *Baselines) storeComparatorNominal(k cmpNomKey, r *signature.Response) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.cmpNom[k]; !ok {
-		b.cmpNom[k] = r
-	}
-}
-
-// comparatorOffset returns the design offset for k, running compute on a
-// miss. Concurrent callers of one key share a single compute; a failed
-// (cancelled) compute is not cached, and a waiter whose own context is
-// still live retries it. A nil *Baselines just computes.
-func (b *Baselines) comparatorOffset(ctx context.Context, k offsetKey, compute func() (float64, error)) (float64, error) {
-	if b == nil {
-		return compute()
-	}
-	for {
-		b.mu.Lock()
-		c, ok := b.offsets[k]
-		if !ok {
-			c = &offsetCall{done: make(chan struct{})}
-			b.offsets[k] = c
-			b.mu.Unlock()
-			c.off, c.err = compute()
-			if c.err != nil {
-				b.mu.Lock()
-				delete(b.offsets, k)
-				b.mu.Unlock()
-			}
-			close(c.done)
-			return c.off, c.err
-		}
-		b.mu.Unlock()
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-		if c.err == nil || !spice.IsCancelled(c.err) || ctx.Err() != nil {
-			return c.off, c.err
-		}
-	}
+	return b
 }

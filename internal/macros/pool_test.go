@@ -6,9 +6,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -256,45 +254,6 @@ func TestNominalFactorConcurrentPlan(t *testing.T) {
 	wg.Wait()
 }
 
-// TestComparatorOffsetSingleFlight: concurrent first callers of one
-// design-offset key share a single computation, and a cancelled
-// computation is not cached — the next caller recomputes.
-func TestComparatorOffsetSingleFlight(t *testing.T) {
-	base := NewBaselines()
-	ctx := context.Background()
-	k := offsetKey{vref: 1.5}
-	var calls atomic.Int32
-	compute := func() (float64, error) {
-		calls.Add(1)
-		time.Sleep(20 * time.Millisecond)
-		return 0.25, nil
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if off, err := base.comparatorOffset(ctx, k, compute); err != nil || off != 0.25 {
-				t.Errorf("offset = %g, %v", off, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("%d computations for one key, want 1", n)
-	}
-
-	other := offsetKey{vref: 1.5, dft: true}
-	if _, err := base.comparatorOffset(ctx, other, func() (float64, error) {
-		return 0, context.Canceled
-	}); !spice.IsCancelled(err) {
-		t.Fatalf("cancelled compute: err = %v", err)
-	}
-	if off, err := base.comparatorOffset(ctx, other, compute); err != nil || off != 0.25 || calls.Load() != 2 {
-		t.Fatalf("retry after cancellation: offset %g, err %v, %d computations", off, err, calls.Load())
-	}
-}
-
 // TestComparatorOffsetSharedAcrossMacros: the pipeline's comparator and
 // the bias generator's private comparator bisect the same design offset,
 // so through one baseline cache the second lookup is a hit.
@@ -305,13 +264,12 @@ func TestComparatorOffsetSharedAcrossMacros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewBiasgen(DefaultVehicle()).cmp.nominalOffset(ctx, false, pool, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want || len(base.offsets) != 1 {
-		t.Fatalf("biasgen offset %g vs comparator %g over %d cached keys, want one shared entry",
-			got, want, len(base.offsets))
+	got, hit, err := base.offsets.Do(ctx, offsetKey{vref: NewBiasgen(DefaultVehicle()).cmp.VRef}, func() (float64, error) {
+		t.Fatal("the bias generator's offset key missed the comparator's entry")
+		return 0, nil
+	})
+	if err != nil || !hit || got != want {
+		t.Fatalf("biasgen offset %g (hit %v, %v) vs comparator %g, want one shared entry", got, hit, err, want)
 	}
 }
 

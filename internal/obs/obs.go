@@ -130,6 +130,13 @@ const (
 	// pattern, so the revalued solves skip the pattern probe and the
 	// symbolic elimination re-derivation).
 	CtrPatternReuse
+	// CtrSparseRetryHits counts the CtrSparseFactorHits that ran only
+	// after the cached pivot sequence mismatched and a recently used
+	// analysis matched instead (the MRU retry tier).
+	CtrSparseRetryHits
+	// CtrDenseLearns counts the CtrDenseFallbacks that learned a
+	// workspace's first analysis; the rest are pivot-cache mismatches.
+	CtrDenseLearns
 
 	// NumCounters is the size of a Metrics block.
 	NumCounters
@@ -156,6 +163,8 @@ var counterNames = [NumCounters]string{
 	"rebind_hits",
 	"full_rebuilds",
 	"pattern_reuse_hits",
+	"sparse_retry_hits",
+	"dense_learns",
 }
 
 // Name returns the canonical (JSON) name of the counter.

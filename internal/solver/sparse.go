@@ -54,11 +54,24 @@ const (
 	// FactorSparse: the cached pivot sequence was verified cell by cell
 	// and the factorisation ran over the symbolic pattern only.
 	FactorSparse FactorPath = iota
-	// FactorDense: the dense LU ran — either first-time pattern
-	// learning or a pivot-cache mismatch — and the symbolic analysis
-	// was (re)built from the pivot sequence it recorded.
+	// FactorDense: the cached pivot sequence mismatched and no recently
+	// used analysis matched either, so the dense LU ran and the
+	// symbolic analysis was looked up (or built) from the pivot
+	// sequence it recorded.
 	FactorDense
+	// FactorSparseRetry: the cached pivot sequence mismatched, but a
+	// recently used analysis agreed with the observed pivots and the
+	// sparse path ran over it.
+	FactorSparseRetry
+	// FactorDenseLearn: the workspace held no analysis yet (its first
+	// factorisation, or the first after a failed one), so the dense LU
+	// ran to learn one.
+	FactorDenseLearn
 )
+
+// Sparse reports whether the factorisation ran over a symbolic
+// analysis (FactorSparse or FactorSparseRetry).
+func (p FactorPath) Sparse() bool { return p == FactorSparse || p == FactorSparseRetry }
 
 // symbolic is the cached elimination analysis for one (pattern, pivot
 // sequence) pair: the structural result of simulating Gaussian
@@ -303,6 +316,9 @@ func (s *SparseLU) Refactor(m *Matrix) (FactorPath, error) {
 			if ok {
 				s.lastSparse = true
 				s.touch(s.sym)
+				if attempt > 0 {
+					return FactorSparseRetry, nil
+				}
 				return FactorSparse, nil
 			}
 			alt := s.altCandidate(s.sym, failK, failP)
@@ -312,16 +328,20 @@ func (s *SparseLU) Refactor(m *Matrix) (FactorPath, error) {
 			s.sym = alt
 		}
 	}
+	path := FactorDense
+	if s.sym == nil {
+		path = FactorDenseLearn
+	}
 	s.lastSparse = false
 	if err := s.dense.Refactor(m); err != nil {
 		// The recorded step sequence is partial; drop any stale
 		// analysis so the next call re-learns from scratch.
 		s.sym = nil
-		return FactorDense, err
+		return path, err
 	}
 	s.sym = s.analysisFor(s.dense.step)
 	s.touch(s.sym)
-	return FactorDense, nil
+	return path, nil
 }
 
 // touch promotes sym to the front of the MRU list.

@@ -134,7 +134,7 @@ func TestSparseMatchesDenseBitForBit(t *testing.T) {
 				}
 				continue
 			}
-			if rep == 0 && path != FactorDense {
+			if rep == 0 && path != FactorDenseLearn {
 				t.Fatalf("first factorisation must learn through the dense path")
 			}
 			if path == FactorSparse {
@@ -158,8 +158,9 @@ func TestSparseMatchesDenseBitForBit(t *testing.T) {
 }
 
 // TestSparsePivotMismatchFallsBack forces a pivot-sequence change and
-// proves the dense fallback engages with bit-identical results, then
-// that the re-learned sequence restores the symbolic path.
+// proves the dense fallback engages with bit-identical results, that
+// the re-learned sequence restores the symbolic path, and that a return
+// to the first sequence is recovered by the MRU retry.
 func TestSparsePivotMismatchFallsBack(t *testing.T) {
 	pat := NewPattern(2)
 	for i := 0; i < 2; i++ {
@@ -199,13 +200,15 @@ func TestSparsePivotMismatchFallsBack(t *testing.T) {
 	}
 
 	set(m, 1, 2, 3, 4) // |3| > |1|: pivot row 1 at step 0
-	check(FactorDense, "learn")
+	check(FactorDenseLearn, "learn")
 	set(m, 1.001, 2, 3, 4)
 	check(FactorSparse, "replay")
 	set(m, 5, 2, 3, 4) // |5| > |3|: pivot row 0 — cache mismatch
 	check(FactorDense, "fallback")
 	set(m, 5.001, 2, 3, 4)
 	check(FactorSparse, "relearned replay")
+	set(m, 1.002, 2, 3, 4) // back to pivot row 1: the first sequence, still in the MRU
+	check(FactorSparseRetry, "MRU retry")
 }
 
 // TestSparseSingularMatchesDense pins the error contract: a singular

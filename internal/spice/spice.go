@@ -575,10 +575,16 @@ func (e *Engine) newton(dst, x0, xPrev []float64, mode netlist.StampMode,
 		if err != nil {
 			return fmt.Errorf("iter %d: %w", iter, err)
 		}
-		if path == solver.FactorSparse {
+		if path.Sparse() {
 			e.met.Add(obs.CtrSparseFactorHits, 1)
 		} else {
 			e.met.Add(obs.CtrDenseFallbacks, 1)
+		}
+		switch path {
+		case solver.FactorSparseRetry:
+			e.met.Add(obs.CtrSparseRetryHits, 1)
+		case solver.FactorDenseLearn:
+			e.met.Add(obs.CtrDenseLearns, 1)
 		}
 		xNew := lu.SolveInto(e.xNew, e.b)
 		e.met.Add(obs.CtrLUSolves, 1)

@@ -12,7 +12,10 @@
 #                        internal/macros or internal/adc outside the
 #                        vehicle spec, and no direct netlist.NewBuilder
 #                        in internal/core (engines must come through
-#                        the pool/rebind seam)
+#                        the pool/rebind seam), and no hand-rolled
+#                        chan struct{} single-flight registries in
+#                        internal/core or internal/macros (compute-once
+#                        results go through internal/memo)
 #   3. go build / vet  — compile + static checks, whole tree
 #   4. staticcheck     — when the binary is on PATH (skipped with a notice
 #                        otherwise; the container does not ship it)
@@ -101,6 +104,20 @@ rlint=$(grep -rn --include='*.go' --exclude='*_test.go' \
 if [ -n "$rlint" ]; then
 	echo "grep-lint: direct netlist.NewBuilder in internal/core (use the macro pool/rebind seam):" >&2
 	echo "$rlint" >&2
+	exit 1
+fi
+
+# Compute-once lint: the good machine is computed once per key through
+# internal/memo, the one single-flight with one cancellation policy. A
+# `chan struct{}` in the pipeline's core or macro layers is the telltale
+# of a new hand-rolled in-flight registry with a policy of its own.
+# Tests are excluded (they use channels to stage concurrency).
+mlint=$(grep -rn --include='*.go' --exclude='*_test.go' \
+	-e 'chan struct{}' \
+	internal/core/ internal/macros/ 2>/dev/null || true)
+if [ -n "$mlint" ]; then
+	echo "grep-lint: chan struct{} single-flight in internal/core or internal/macros (use internal/memo):" >&2
+	echo "$mlint" >&2
 	exit 1
 fi
 
