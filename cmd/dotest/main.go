@@ -28,13 +28,15 @@
 // (including the per-stage time breakdown) printed after each DfT
 // setting. -json-stats writes those metrics, -v logs unit completions.
 // The post-DfT run appends ".dft" to the -checkpoint, -json and
-// -json-stats file names.
+// -json-stats file names. With a single -macro, -json summarises that
+// macro alone.
 //
 // -gsworkers sets Pipeline.Workers, the bound on the pipeline's own
-// fan-out: Run's per-macro discoveries and per-class analyses, and the
-// good-space Monte Carlo's dies (0 picks GOMAXPROCS, or the campaign
-// worker count on the engine; 1 runs strictly serially). Every
-// combination of -workers and -gsworkers is bit-identical.
+// fan-out: Run's per-macro discoveries, the per-class analyses (of Run,
+// or of RunMacro under -macro), and the good-space Monte Carlo's dies
+// (0 picks GOMAXPROCS, or the campaign worker count on the engine; 1
+// runs strictly serially). Every combination of -workers and
+// -gsworkers is bit-identical.
 //
 // -trace streams one JSON object per finished methodology-stage span
 // (sprinkle, collapse, inject, faultsim, classify, detect, goodspace)
@@ -101,7 +103,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&s.DfT, "dft", "both", "DfT setting: pre, post or both")
 	fs.StringVar(&o.macro, "macro", "all", "macro to analyse (comparator|ladder|biasgen|clockgen|decoder|all)")
 	fs.IntVar(&o.workers, "workers", 1, "campaign engine workers (1 = in-process Pipeline.Run, 0 = GOMAXPROCS)")
-	fs.IntVar(&o.gsworkers, "gsworkers", 0, "pipeline fan-out bound for Run's classes and the good-space dies (0 = automatic, 1 = strictly serial; any setting is bit-identical)")
+	fs.IntVar(&o.gsworkers, "gsworkers", 0, "pipeline fan-out bound for the class analyses and the good-space dies (0 = automatic, 1 = strictly serial; any setting is bit-identical)")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "run on the campaign engine, checkpointing to this file")
 	fs.BoolVar(&o.resume, "resume", false, "resume from the checkpoint, skipping finished units")
 	fs.StringVar(&o.jsonOut, "json", "", "also write a machine-readable summary to this file")
@@ -197,6 +199,10 @@ func main() {
 				fatal(ctx, err, "")
 			}
 			printMacro(run)
+			if o.jsonOut != "" {
+				one := &core.Run{Cfg: p.Cfg, DfT: dft, Macros: []*core.MacroRun{run}}
+				writeJSON(o.jsonOut+suffix, func() ([]byte, error) { return report.JSON(one) })
+			}
 			continue
 		}
 		var run *core.Run

@@ -203,11 +203,12 @@ type Pipeline struct {
 	// this pipeline. nil — the default — is the zero-cost noop.
 	Obs *obs.Observer
 	// Workers bounds each in-process fan-out of the pipeline: Run's
-	// discovery and class analyses, and the good-space Monte Carlo's die
-	// group (see goodspace.go). 0 is automatic — GOMAXPROCS, or the
-	// campaign worker count inside RunParallel — and 1 runs strictly
-	// serially. Any setting produces byte-identical output: every unit of
-	// work depends only on its index, and every merge is index-ordered.
+	// discovery and class analyses, RunMacro's class analyses, and the
+	// good-space Monte Carlo's die group (see goodspace.go). 0 is
+	// automatic — GOMAXPROCS, or the campaign worker count inside
+	// RunParallel — and 1 runs strictly serially. Any setting produces
+	// byte-identical output: every unit of work depends only on its
+	// index, and every merge is index-ordered.
 	Workers int
 
 	veh     macros.Vehicle
@@ -612,15 +613,14 @@ func (p *Pipeline) analysisTargets(run *MacroRun) []AnalysisTarget {
 }
 
 // RunMacro executes the complete defect-oriented test path for one
-// macro. Its class analyses run serially: a parallel RunMacro would keep
-// one rebuild engine per worker live at once, which on the wide ladder's
-// dense rebuild path costs more memory than the cores save in time.
+// macro. Its class analyses fan out over Workers goroutines, like Run's,
+// and the result is byte-identical for any worker count.
 func (p *Pipeline) RunMacro(ctx context.Context, macroName string, dft bool) (*MacroRun, error) {
 	run, err := p.DiscoverClasses(ctx, macroName, dft)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.analyze(ctx, []*MacroRun{run}, dft, 1); err != nil {
+	if err := p.analyze(ctx, []*MacroRun{run}, dft, p.workers()); err != nil {
 		return nil, err
 	}
 	return run, nil

@@ -89,6 +89,44 @@ func TestRunWorkersIdentical(t *testing.T) {
 	}
 }
 
+// TestRunMacroWorkersIdentical is RunMacro's determinism contract: the
+// report of one macro is byte-identical whether its class analyses run
+// serially or on two workers. The ladder's bridge classes take the
+// rank-1 path, whose nominal factorization the workers share; the
+// decoder covers gate-level fault simulation. Kept tiny (one die, a few
+// classes, one pipeline per worker count): the -race run of this
+// package is close to its time budget, so under -race only the ladder
+// runs (TestRunWorkersIdentical already races the decoder's analyses).
+func TestRunMacroWorkersIdentical(t *testing.T) {
+	cfg := parallelTestCfg()
+	cfg.MCSamples, cfg.MaxClassesPerMacro = 1, 4
+	cfg.SkipNonCat = false
+	macros := []string{"ladder", "decoder"}
+	if raceEnabled {
+		cfg.MaxClassesPerMacro, macros = 2, macros[:1]
+	}
+	want := map[string][]byte{}
+	for _, workers := range []int{1, 2} {
+		p := core.NewPipeline(cfg)
+		p.Workers = workers
+		for _, name := range macros {
+			mr, err := p.RunMacro(context.Background(), name, false)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			got, err := report.JSON(&core.Run{Cfg: cfg, Macros: []*core.MacroRun{mr}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want[name] == nil {
+				want[name] = got
+			} else if !bytes.Equal(got, want[name]) {
+				t.Fatalf("%s: RunMacro output at workers=%d differs from the serial run", name, workers)
+			}
+		}
+	}
+}
+
 // cancelOnAnalysis cancels a run once it has seen the given number of
 // class-analysis fault simulations (faultsim spans carrying a class
 // label — the good-space dies and the nominals carry none).

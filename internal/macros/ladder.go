@@ -69,14 +69,20 @@ func (l *LadderMacro) buildLadderInto(b *netlist.Builder, v Variation) {
 // build-inject-refactor path below, which is also the path of every
 // fault-free solve.
 func (l *LadderMacro) solveTaps(ctx context.Context, f *faults.Fault, opt RespondOpts) (taps []float64, ihi, ilo float64, err error) {
+	rank1Fallback := false
 	if f != nil && opt.Base != nil {
 		if taps, ihi, ilo, ok, err := l.solveTapsUpdated(ctx, f, opt); ok {
 			return taps, ihi, ilo, err
 		}
-		opt.Metrics.Add(obs.CtrRank1Fallbacks, 1)
+		rank1Fallback = true
 	}
 	io := faults.InjectOptions{NonCat: opt.NonCat}
 	sp := opt.span(obs.StageInject, l.Name())
+	if rank1Fallback {
+		// Counted inside the span of the inject it causes, so trace
+		// sinks attribute it.
+		opt.Metrics.Add(obs.CtrRank1Fallbacks, 1)
+	}
 	key := engineKey{macro: l.Name(), fault: faultKey(f, io)}
 	eng, release, err := checkoutEngine(opt, engineCheckout{
 		key: key,
@@ -148,14 +154,15 @@ func (l *LadderMacro) solveTapsUpdated(ctx context.Context, f *faults.Fault, opt
 	}
 	sp = opt.span(obs.StageFaultSim, l.Name())
 	sol, err := nf.SolveUpdated(upd)
-	sp.End()
 	if err != nil {
+		sp.End()
 		// Ill-conditioned correction or non-convergence: let the classic
 		// path refactor from scratch (reproducing a genuine failure with
 		// classic semantics if the system really is unsolvable).
 		return nil, 0, 0, false, nil
 	}
 	opt.Metrics.Add(obs.CtrRank1Solves, 1)
+	sp.End()
 	taps = make([]float64, l.Veh.LadderSegments()+1)
 	for k := range taps {
 		taps[k] = sol.V(tapName(k))

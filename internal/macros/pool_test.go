@@ -306,3 +306,44 @@ func TestComparatorGOSBaselineCache(t *testing.T) {
 			want, first, second)
 	}
 }
+
+// spanCounters sums the counter deltas of every finished span.
+type spanCounters struct {
+	mu  sync.Mutex
+	sum [obs.NumCounters]int64
+}
+
+func (s *spanCounters) Emit(r *obs.Record) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, v := range r.Counters {
+		s.sum[i] += v
+	}
+}
+
+// TestLadderRank1CountersInsideSpans: the rank-1 solve of a tap bridge
+// and the fallback of a topology-changing open must both be counted
+// inside a span, so a trace sink sees exactly what the metrics block
+// holds.
+func TestLadderRank1CountersInsideSpans(t *testing.T) {
+	l := NewLadder(DefaultVehicle())
+	ctx := context.Background()
+	sink := &spanCounters{}
+	met := &obs.Metrics{}
+	opt := RespondOpts{Var: Nominal(), Base: NewBaselines(), Metrics: met, Obs: obs.New(sink)}
+	bridge := &faults.Fault{Kind: faults.Short, Nets: []string{tapName(96), tapName(128)}, Res: 25}
+	open := &faults.Fault{
+		Kind: faults.Open, Nets: []string{tapName(50)},
+		FarTerminals: []faults.Terminal{{Device: "r050", Net: tapName(50)}},
+	}
+	for _, f := range []*faults.Fault{bridge, open} {
+		if _, err := l.Respond(ctx, f, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []obs.Counter{obs.CtrRank1Solves, obs.CtrRank1Fallbacks} {
+		if got, want := sink.sum[c], met.Get(c); got != want || want != 1 {
+			t.Errorf("%s: spans saw %d, metrics hold %d, want 1 each", c.Name(), got, want)
+		}
+	}
+}

@@ -81,9 +81,10 @@ const (
 	// CtrSparseFactorHits counts LU factorisations that ran over the
 	// cached symbolic sparsity pattern.
 	CtrSparseFactorHits
-	// CtrDenseFallbacks counts LU factorisations that went through the
+	// CtrDenseFallbacks counts LU factorisations that finished on the
 	// dense path of a sparsity-aware workspace: first-time pattern
-	// learning and pivot-cache mismatches.
+	// learning, and pivot-cache mismatches that no recently used
+	// analysis covered (continued densely from the mismatching step).
 	CtrDenseFallbacks
 	// CtrBaselineCacheHits counts fault-free baseline responses served
 	// from the memoised cache instead of re-simulating the good machine.
@@ -130,12 +131,13 @@ const (
 	// pattern, so the revalued solves skip the pattern probe and the
 	// symbolic elimination re-derivation).
 	CtrPatternReuse
-	// CtrSparseRetryHits counts the CtrSparseFactorHits that ran only
-	// after the cached pivot sequence mismatched and a recently used
-	// analysis matched instead (the MRU retry tier).
+	// CtrSparseRetryHits counts the CtrSparseFactorHits whose pivots
+	// left the cached sequence and that stayed sparse by switching to a
+	// recently used analysis mid-pass.
 	CtrSparseRetryHits
 	// CtrDenseLearns counts the CtrDenseFallbacks that learned a
-	// workspace's first analysis; the rest are pivot-cache mismatches.
+	// workspace's first analysis; the rest continued densely from a
+	// pivot-cache mismatch.
 	CtrDenseLearns
 
 	// NumCounters is the size of a Metrics block.

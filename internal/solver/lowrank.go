@@ -231,7 +231,7 @@ func (s *UpdatedSolver) residualInto(r, x, b []float64) {
 	n := s.base.N()
 	copy(r, b)
 	a := s.nom.A
-	for _, f := range s.base.patIdx {
+	for _, f := range s.base.pat.idx {
 		i, j := int(f)/n, int(f)%n
 		r[i] -= a[f] * x[j]
 	}

@@ -40,7 +40,7 @@ func armedSparseLU(t *testing.T, pat *Pattern, m *Matrix) *SparseLU {
 	t.Helper()
 	s := NewSparseLU(pat)
 	for i := 0; i < 2; i++ {
-		if _, err := s.Refactor(m); err != nil {
+		if _, err := s.Refactor(m.Clone()); err != nil {
 			t.Fatalf("nominal refactor: %v", err)
 		}
 	}

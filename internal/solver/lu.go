@@ -1,7 +1,7 @@
-// Package solver provides the dense linear-algebra kernel of the analog
-// simulator: LU factorisation with partial pivoting and triangular solves.
-// MNA matrices of macro-cell circuits are small (tens of unknowns), so a
-// dense solver is both simpler and faster than a sparse one here.
+// Package solver provides the linear-algebra kernel of the analog
+// simulator: LU factorisation with partial pivoting and triangular
+// solves. LU is the dense reference; SparseLU factors MNA matrices in
+// place over a cached symbolic analysis and is bit-identical to it.
 package solver
 
 import (
@@ -114,17 +114,53 @@ func Factor(m *Matrix) (*LU, error) {
 // modified. The arithmetic is identical to Factor, so refactoring through
 // a reused workspace is bit-for-bit equivalent to a fresh factorisation.
 func (f *LU) Refactor(m *Matrix) error {
-	n := f.n
-	if m.N != n {
-		return fmt.Errorf("solver: refactor size %d into workspace of size %d", m.N, n)
+	if m.N != f.n {
+		return fmt.Errorf("solver: refactor size %d into workspace of size %d", m.N, f.n)
 	}
 	copy(f.lu, m.A)
+	f.reset()
+	return f.eliminate(0)
+}
+
+// reset makes the permutation the identity before a factorisation.
+func (f *LU) reset() {
 	f.sign = 1
 	for i := range f.piv {
 		f.piv[i] = i
 	}
-	const tiny = 1e-300
-	for k := 0; k < n; k++ {
+}
+
+// tiny is the pivot magnitude below which a matrix counts as singular.
+const tiny = 1e-300
+
+// singularAt is the error of a pivot search whose best magnitude max at
+// step k fell below tiny; every factorisation path reports it alike.
+func singularAt(k int, max float64) error {
+	return fmt.Errorf("%w: pivot %d (|p|=%g)", ErrSingular, k, max)
+}
+
+// interchange records p as the pivot row of step k and swaps it into
+// position k.
+func (f *LU) interchange(k, p int) {
+	f.step[k] = int32(p)
+	if p == k {
+		return
+	}
+	n := f.n
+	rk, rp := f.lu[k*n:k*n+n], f.lu[p*n:p*n+n]
+	for j := range rk {
+		rk[j], rp[j] = rp[j], rk[j]
+	}
+	f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
+	f.sign = -f.sign
+}
+
+// eliminate runs the dense partial-pivoting elimination on f.lu from
+// step k0 to the end. Steps before k0 must already be applied to f.lu,
+// with their interchanges recorded in piv, sign and step.
+func (f *LU) eliminate(k0 int) error {
+	n := f.n
+	for k := k0; k < n; k++ {
 		// Pivot search in column k.
 		p, max := k, math.Abs(f.lu[k*n+k])
 		for i := k + 1; i < n; i++ {
@@ -133,16 +169,9 @@ func (f *LU) Refactor(m *Matrix) error {
 			}
 		}
 		if max < tiny {
-			return fmt.Errorf("%w: pivot %d (|p|=%g)", ErrSingular, k, max)
+			return singularAt(k, max)
 		}
-		f.step[k] = int32(p)
-		if p != k {
-			for j := 0; j < n; j++ {
-				f.lu[k*n+j], f.lu[p*n+j] = f.lu[p*n+j], f.lu[k*n+j]
-			}
-			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
-		}
+		f.interchange(k, p)
 		// Row slices let the compiler drop bounds checks in the update
 		// loop; the arithmetic and its order are unchanged.
 		rowk := f.lu[k*n : k*n+n]

@@ -341,7 +341,7 @@ func TestSolveIntoAliasPanics(t *testing.T) {
 	pat.Mark(1, 1)
 	slu := NewSparseLU(pat)
 	for i := 0; i < 2; i++ {
-		if _, err := slu.Refactor(m); err != nil {
+		if _, err := slu.Refactor(m.Clone()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,8 +20,8 @@ type Pattern struct {
 	N  int
 	nz []bool
 	// idx lists the flat index of every marked cell, in first-mark
-	// order; maintained incrementally so NewSparseLU never has to scan
-	// the n² cells to enumerate the pattern.
+	// order; maintained incrementally so Count and the low-rank
+	// residual never have to scan the n² cells to enumerate the pattern.
 	idx []int32
 }
 
@@ -51,21 +51,20 @@ func (p *Pattern) Count() int { return len(p.idx) }
 type FactorPath int
 
 const (
-	// FactorSparse: the cached pivot sequence was verified cell by cell
-	// and the factorisation ran over the symbolic pattern only.
+	// FactorSparse: every step's pivot matched the cached sequence and
+	// the whole pass ran over the symbolic pattern.
 	FactorSparse FactorPath = iota
-	// FactorDense: the cached pivot sequence mismatched and no recently
-	// used analysis matched either, so the dense LU ran and the
-	// symbolic analysis was looked up (or built) from the pivot
-	// sequence it recorded.
+	// FactorDense: at some step k the pivot matched no known analysis,
+	// so the pass continued with the dense elimination from k and the
+	// analysis of the recorded pivot sequence was looked up (or built).
 	FactorDense
-	// FactorSparseRetry: the cached pivot sequence mismatched, but a
-	// recently used analysis agreed with the observed pivots and the
-	// sparse path ran over it.
+	// FactorSparseRetry: the pivot left the cached sequence at least
+	// once, but each time a recently used analysis agreed with the
+	// observed pivots, and the pass switched to it and stayed sparse.
 	FactorSparseRetry
 	// FactorDenseLearn: the workspace held no analysis yet (its first
-	// factorisation, or the first after a failed one), so the dense LU
-	// ran to learn one.
+	// factorisation, or the first after a failed one), so the whole
+	// pass ran dense to learn one.
 	FactorDenseLearn
 )
 
@@ -97,16 +96,6 @@ type symbolic struct {
 	// ascending, for the sparse triangular solves.
 	lrow [][]int32
 	urow [][]int32
-	// zero lists flat original-frame cell indices the numeric replay
-	// must initialise to exact +0 before eliminating: fill-in targets
-	// (read-modified before ever being written from the input) and
-	// unmarked working diagonals (read by the pivot search, where the
-	// dense scan sees +0). Everything else the replay touches is a
-	// pattern cell, initialised from the input matrix. Recording uses
-	// original-frame positions — the row interchanges then carry the
-	// zeros to their working positions exactly as they carry the
-	// pattern values.
-	zero []int32
 	// nnz is the filled nonzero count (diagnostics).
 	nnz int
 }
@@ -125,12 +114,6 @@ func buildSymbolic(pat []bool, n int, step []int32, w []bool) *symbolic {
 		urow:   make([][]int32, n),
 	}
 	copy(sym.piv, step)
-	// perm[i] is the original row currently at working position i; it
-	// maps zero-initialisation targets back to the input frame.
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
 	for k := 0; k < n; k++ {
 		var rows []int32
 		for i := k + 1; i < n; i++ {
@@ -139,16 +122,10 @@ func buildSymbolic(pat []bool, n int, step []int32, w []bool) *symbolic {
 			}
 		}
 		sym.search[k] = rows
-		// The pivot search also reads the working diagonal; when it is
-		// structurally zero the dense scan sees exact +0 there.
-		if !w[k*n+k] {
-			sym.zero = append(sym.zero, perm[k]*int32(n)+int32(k))
-		}
 		if p := int(step[k]); p != k {
 			for j := 0; j < n; j++ {
 				w[k*n+j], w[p*n+j] = w[p*n+j], w[k*n+j]
 			}
-			perm[k], perm[p] = perm[p], perm[k]
 		}
 		var er, uc []int32
 		for i := k + 1; i < n; i++ {
@@ -165,17 +142,10 @@ func buildSymbolic(pat []bool, n int, step []int32, w []bool) *symbolic {
 		// Fill-in: eliminating row i against pivot row k writes every
 		// update column of the pivot row. (The numeric loop may skip a
 		// row whose multiplier is exactly zero; the superset is safe.)
-		// A first-time fill cell is read-modified by the update before
-		// anything wrote it, so it must start as the +0 the dense path
-		// would hold there.
 		for _, i := range er {
 			ri := w[int(i)*n : int(i)*n+n]
-			oi := perm[int(i)] * int32(n)
 			for _, j := range uc {
-				if !ri[j] {
-					ri[j] = true
-					sym.zero = append(sym.zero, oi+int32(j))
-				}
+				ri[j] = true
 			}
 		}
 	}
@@ -198,44 +168,57 @@ func buildSymbolic(pat []bool, n int, step []int32, w []bool) *symbolic {
 }
 
 // SparseLU is a factorisation workspace that exploits the structural
-// sparsity of MNA matrices. The first Refactor runs the dense LU and
-// records its pivot sequence; a symbolic pass then simulates the
-// elimination on the stamp pattern under that sequence, computing
-// fill-in and the per-step structure. Subsequent Refactors run only
-// over the symbolic structure, skipping every structurally-zero
-// multiply-add — bit-identical to the dense path provided the numeric
-// pivot choice still matches the cached sequence, which each step
-// verifies before committing; on a mismatch (or on the first call) the
-// call falls back to the dense LU and re-learns the sequence, so the
-// result is the dense result either way.
+// sparsity of MNA matrices. It factors in place: after Refactor(m) the
+// factors live in m.A, where the solves read them, until the caller
+// overwrites m (the engine's next assembly). A caller that still needs
+// the unfactored matrix factors a clone. The workspace holds only the
+// pivot bookkeeping and the symbolic analyses, no n² float buffer.
+//
+// A symbolic analysis is the structure, fill-in included, that the
+// elimination has under one pivot sequence. Refactor is one elimination
+// pass that follows the current analysis step by step, skipping every
+// structurally-zero multiply-add, and verifies at each step that the
+// numeric pivot is the one the analysis assumed. On a mismatch at step
+// k the pass carries on from step k; it never restarts:
+//   - if a recently used analysis agrees on the pivots of steps [0, k)
+//     and chooses the observed pivot at step k, the pass switches to it
+//     and stays sparse (the structure left after k steps depends only
+//     on their pivots, so the two analyses agree on it);
+//   - otherwise it continues with the dense elimination from step k and
+//     then looks up, or learns, the analysis of the pivot sequence it
+//     recorded.
+//
+// The first factorisation, with no analysis yet, runs dense throughout.
 //
 // The bit-identity argument: cells outside the filled pattern hold
 // exact +0 throughout the dense elimination (MNA assembly accumulates
 // from +0 and IEEE-754 addition/subtraction of non-negative-zero terms
 // never produces -0), so the multiply-adds the sparse path skips would
 // have contributed exactly ±0 to sums that are themselves never -0.
-// The one place the two factored arrays differ is the dense path's
-// ±0 multipliers stored at structurally-zero L cells; those never
-// reach an arithmetic result, which the solver's property tests pin
-// down by comparing solve outputs and determinants bit for bit.
+// In place, fill-in cells start at the +0 that assembly left outside
+// the pattern, which is what the dense path finds there. The only cells
+// where the result differs from the dense path's are the ±0 multipliers
+// the dense path stores at structurally-zero L cells, where the sparse
+// steps leave +0. No later elimination step reads an L cell of an
+// earlier column, so a dense continuation from step k computes what the
+// dense path computes, and the solves never let those zeros reach an
+// arithmetic result. The solver's property tests pin this down by
+// comparing solve outputs and determinants bit for bit.
 type SparseLU struct {
-	n     int
-	dense *LU
-	pat   []bool
-	// patIdx lists the flat indices of the pattern cells; the numeric
-	// replay initialises exactly these from the input matrix (plus the
-	// analysis's zero cells) instead of copying all n² cells — for the
-	// banded ladder system that turns a half-megabyte copy per
-	// factorisation into a few thousand indexed moves.
-	patIdx []int32
-	sym    *symbolic
+	n int
+	// pat is the stamp pattern, shared with the caller's Pattern.
+	pat *Pattern
+	// f carries the pivot bookkeeping; f.lu aliases the matrix most
+	// recently passed to Refactor.
+	f   LU
+	sym *symbolic
 	// cands holds every symbolic analysis learned so far, keyed by a
 	// hash of its pivot sequence (hash collisions resolved by exact
 	// comparison). Newton solves revisit the same sequences over and
 	// over (device operating regions shift the column magnitudes, the
 	// convergence aids shift the diagonals — a transient walks through
 	// a few hundred distinct sequences and then repeats them), so a
-	// dense fallback first looks for an existing analysis of the
+	// dense continuation first looks for an existing analysis of the
 	// sequence it just recorded before paying for a new one — steady
 	// state then re-analyses nothing, no matter how often the pivots
 	// flip.
@@ -244,13 +227,11 @@ type SparseLU struct {
 	// mru holds the most recently used analyses, most recent first. A
 	// transient's pivot sequences flip within a small working set, so
 	// on a mismatch at step k with observed pivot p the right analysis
-	// is almost always one of these: any candidate agreeing with the
-	// verified prefix and choosing p at step k can be retried sparsely
-	// instead of falling back to the dense path.
+	// is almost always one of these.
 	mru [8]*symbolic
-	// lastSparse selects the triangular-solve structure matching the
-	// most recent factorisation (the dense fallback fills L cells the
-	// symbolic structure does not track).
+	// lastSparse records whether the most recent pass stayed sparse;
+	// only then do the solves run over the symbolic structure. After a
+	// dense continuation they run dense, as the dense path's would.
 	lastSparse bool
 	// symW is the scratch working pattern for buildSymbolic, reused
 	// across analyses (the build overwrites it wholesale).
@@ -266,15 +247,13 @@ type SparseLU struct {
 const maxSymbolicCands = 1024
 
 // NewSparseLU returns a workspace for matrices with the given stamp
-// pattern. The pattern is captured by value; later Marks are ignored.
+// pattern. The workspace shares the pattern's cells, so p must not be
+// marked again afterwards.
 func NewSparseLU(p *Pattern) *SparseLU {
-	pat := make([]bool, len(p.nz))
-	copy(pat, p.nz)
 	return &SparseLU{
-		n:      p.N,
-		dense:  NewLU(p.N),
-		pat:    pat,
-		patIdx: append([]int32(nil), p.idx...),
+		n:   p.N,
+		pat: p,
+		f:   LU{n: p.N, piv: make([]int, p.N), step: make([]int32, p.N)},
 	}
 }
 
@@ -290,58 +269,94 @@ func (s *SparseLU) FillNNZ() int {
 	return s.sym.nnz
 }
 
-// Refactor factors m, preferring the symbolic path and falling back to
-// the dense LU on first use or on a pivot-cache mismatch. m must have
-// its nonzeros inside the workspace's pattern (unmarked cells exactly
-// +0), which holds by construction for MNA-assembled matrices. The
-// returned path reports which implementation ran; the numeric result
-// is identical either way. Errors match the dense LU's.
+// Refactor factors m in place in one elimination pass, sparse while a
+// known analysis predicts the pivots and dense from the first step none
+// does. m must have its nonzeros inside the workspace's pattern
+// (unmarked cells exactly +0), which holds by construction for
+// MNA-assembled matrices. The returned path reports how the pass ran;
+// the numeric result is identical either way. Errors match the dense
+// LU's.
 func (s *SparseLU) Refactor(m *Matrix) (FactorPath, error) {
 	if m.N != s.n {
 		return FactorDense, fmt.Errorf("solver: refactor size %d into sparse workspace of size %d", m.N, s.n)
 	}
+	s.f.lu = m.A
+	s.f.reset()
+	path, k := FactorDenseLearn, 0
 	if s.sym != nil {
-		// Up to three sparse attempts: the cached sequence, then known
-		// sequences that agree with the prefix verified so far and the
-		// pivot observed at the failing step. Each retry strictly extends
-		// the verified prefix, so the loop cannot revisit a candidate.
-		for attempt := 0; attempt < 3; attempt++ {
-			ok, failK, failP, err := s.refactorSparse(m)
-			if err != nil {
-				// The sparse path is arithmetic-identical up to the
-				// failing step, so the dense path would report the same
-				// singularity.
-				return FactorSparse, err
-			}
-			if ok {
-				s.lastSparse = true
-				s.touch(s.sym)
-				if attempt > 0 {
-					return FactorSparseRetry, nil
-				}
-				return FactorSparse, nil
-			}
-			alt := s.altCandidate(s.sym, failK, failP)
-			if alt == nil {
-				break
-			}
-			s.sym = alt
+		var err error
+		if path, k, err = s.replay(); err != nil {
+			// The sparse steps are arithmetic-identical to the dense
+			// path, which would report the same singularity.
+			return path, err
 		}
-	}
-	path := FactorDense
-	if s.sym == nil {
-		path = FactorDenseLearn
+		if k == s.n {
+			s.lastSparse = true
+			s.touch(s.sym)
+			return path, nil
+		}
+		path = FactorDense
 	}
 	s.lastSparse = false
-	if err := s.dense.Refactor(m); err != nil {
+	if err := s.f.eliminate(k); err != nil {
 		// The recorded step sequence is partial; drop any stale
 		// analysis so the next call re-learns from scratch.
 		s.sym = nil
 		return path, err
 	}
-	s.sym = s.analysisFor(s.dense.step)
+	s.sym = s.analysisFor(s.f.step)
 	s.touch(s.sym)
 	return path, nil
+}
+
+// replay runs the elimination over the current analysis, switching to a
+// recently used analysis when the observed pivot leaves the current
+// one's sequence. It returns the step it stopped at: n when every step
+// ran sparsely, else the first step whose pivot no known analysis
+// predicts — the step the dense continuation starts from.
+func (s *SparseLU) replay() (FactorPath, int, error) {
+	n := s.n
+	f := &s.f
+	lu := f.lu
+	path := FactorSparse
+	for k := 0; k < n; k++ {
+		sym := s.sym
+		// Pivot search over the structural column only: unmarked cells
+		// hold exact +0 and can never strictly exceed max ≥ 0, so the
+		// argmax equals the dense scan's.
+		p, max := k, math.Abs(lu[k*n+k])
+		for _, ii := range sym.search[k] {
+			if a := math.Abs(lu[int(ii)*n+k]); a > max {
+				p, max = int(ii), a
+			}
+		}
+		if max < tiny {
+			return path, k, singularAt(k, max)
+		}
+		if p != int(sym.piv[k]) {
+			if sym = s.altCandidate(sym, k, int32(p)); sym == nil {
+				return path, k, nil
+			}
+			s.sym, path = sym, FactorSparseRetry
+		}
+		f.interchange(k, p)
+		rowk := lu[k*n : k*n+n]
+		pivot := rowk[k]
+		for _, ii := range sym.elim[k] {
+			i := int(ii)
+			rowi := lu[i*n : i*n+n]
+			l := rowi[k] / pivot
+			rowi[k] = l
+			if l == 0 {
+				continue
+			}
+			for _, jj := range sym.utail[k] {
+				j := int(jj)
+				rowi[j] -= l * rowk[j]
+			}
+		}
+	}
+	return path, n, nil
 }
 
 // touch promotes sym to the front of the MRU list.
@@ -386,7 +401,7 @@ func (s *SparseLU) analysisFor(step []int32) *symbolic {
 	if s.symW == nil {
 		s.symW = make([]bool, s.n*s.n)
 	}
-	sym := buildSymbolic(s.pat, s.n, step, s.symW)
+	sym := buildSymbolic(s.pat.nz, s.n, step, s.symW)
 	if s.nCands >= maxSymbolicCands {
 		s.cands, s.nCands = nil, 0
 	}
@@ -423,76 +438,6 @@ func int32sEqual(a, b []int32) bool {
 	return true
 }
 
-// refactorSparse replays the elimination over the symbolic structure,
-// verifying the pivot choice of every step against the cache. Returns
-// ok=false (workspace contents undefined) when the numeric pivot
-// diverges from the cached sequence, along with the failing step and
-// the pivot row the dense argmax would have chosen there.
-func (s *SparseLU) refactorSparse(m *Matrix) (ok bool, failK int, failP int32, err error) {
-	n := s.n
-	f := s.dense
-	sym := s.sym
-	lu := f.lu
-	// Initialise only the cells the replay will touch: pattern cells
-	// carry the input values, fill/diagonal targets the exact +0 the
-	// dense elimination would find there. Cells outside both sets keep
-	// stale garbage — the structure guarantees they are never read, and
-	// the row interchanges only shuffle them among equally-unread cells.
-	a := m.A
-	for _, idx := range s.patIdx {
-		lu[idx] = a[idx]
-	}
-	for _, idx := range sym.zero {
-		lu[idx] = 0
-	}
-	f.sign = 1
-	for i := range f.piv {
-		f.piv[i] = i
-	}
-	const tiny = 1e-300
-	for k := 0; k < n; k++ {
-		// Pivot search over the structural column only: unmarked cells
-		// hold exact +0 and can never strictly exceed max ≥ 0, so the
-		// argmax equals the dense scan's.
-		p, max := k, math.Abs(lu[k*n+k])
-		for _, ii := range sym.search[k] {
-			if a := math.Abs(lu[int(ii)*n+k]); a > max {
-				p, max = int(ii), a
-			}
-		}
-		if max < tiny {
-			return false, 0, 0, fmt.Errorf("%w: pivot %d (|p|=%g)", ErrSingular, k, max)
-		}
-		if p != int(sym.piv[k]) {
-			return false, k, int32(p), nil
-		}
-		if p != k {
-			for j := 0; j < n; j++ {
-				lu[k*n+j], lu[p*n+j] = lu[p*n+j], lu[k*n+j]
-			}
-			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
-		}
-		f.step[k] = int32(p)
-		rowk := lu[k*n : k*n+n]
-		pivot := rowk[k]
-		for _, ii := range sym.elim[k] {
-			i := int(ii)
-			rowi := lu[i*n : i*n+n]
-			l := rowi[k] / pivot
-			rowi[k] = l
-			if l == 0 {
-				continue
-			}
-			for _, jj := range sym.utail[k] {
-				j := int(jj)
-				rowi[j] -= l * rowk[j]
-			}
-		}
-	}
-	return true, 0, 0, nil
-}
-
 // SolveInto solves A·x = b for the factored A into the caller-provided
 // x (len n), allocation-free; b is not modified and x must not alias
 // it (panics on the exact-overlap case, like LU.SolveInto). After a
@@ -502,15 +447,15 @@ func (s *SparseLU) refactorSparse(m *Matrix) (ok bool, failK int, failP int32, e
 // are never -0).
 func (s *SparseLU) SolveInto(x, b []float64) []float64 {
 	if !s.lastSparse {
-		return s.dense.SolveInto(x, b)
+		return s.f.SolveInto(x, b)
 	}
 	checkNoAlias(x, b)
 	n := s.n
-	f := s.dense
-	lu := f.lu
+	lu := s.f.lu
+	piv := s.f.piv
 	sym := s.sym
 	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
+		x[i] = b[piv[i]]
 	}
 	for i := 1; i < n; i++ {
 		var sum float64
@@ -537,4 +482,4 @@ func (s *SparseLU) Solve(b []float64) []float64 {
 }
 
 // Det returns the determinant of the factored matrix.
-func (s *SparseLU) Det() float64 { return s.dense.Det() }
+func (s *SparseLU) Det() float64 { return s.f.Det() }

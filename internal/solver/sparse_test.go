@@ -123,7 +123,7 @@ func TestSparseMatchesDenseBitForBit(t *testing.T) {
 			// Gentle value drift: pivots usually stay on the cached
 			// sequence so the symbolic path is exercised.
 			s.assemble(dm, 1+float64(rep)*1e-3)
-			path, err := slu.Refactor(dm)
+			path, err := slu.Refactor(dm.Clone())
 			errD := ref.Refactor(dm)
 			if (err == nil) != (errD == nil) {
 				t.Fatalf("trial %d rep %d: sparse err %v vs dense err %v", trial, rep, err, errD)
@@ -180,7 +180,7 @@ func TestSparsePivotMismatchFallsBack(t *testing.T) {
 	m := NewMatrix(2)
 	check := func(wantPath FactorPath, step string) {
 		t.Helper()
-		path, err := slu.Refactor(m)
+		path, err := slu.Refactor(m.Clone())
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
@@ -225,7 +225,7 @@ func TestSparseSingularMatchesDense(t *testing.T) {
 	m.Add(0, 1, 2)
 	m.Add(1, 0, 2)
 	m.Add(1, 1, 4)
-	if _, err := slu.Refactor(m); !errors.Is(err, ErrSingular) {
+	if _, err := slu.Refactor(m.Clone()); !errors.Is(err, ErrSingular) {
 		t.Fatalf("learning path: err = %v, want ErrSingular", err)
 	}
 	// Learn on a non-singular system, then hit the singular one through
@@ -235,10 +235,10 @@ func TestSparseSingularMatchesDense(t *testing.T) {
 	m2.Add(0, 1, 2)
 	m2.Add(1, 0, 2)
 	m2.Add(1, 1, 5)
-	if _, err := slu.Refactor(m2); err != nil {
+	if _, err := slu.Refactor(m2.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	_, errS := slu.Refactor(m)
+	_, errS := slu.Refactor(m.Clone())
 	errD := NewLU(2).Refactor(m)
 	if errS == nil || errD == nil || errS.Error() != errD.Error() {
 		t.Fatalf("singular errors diverged: %v vs %v", errS, errD)
@@ -282,7 +282,7 @@ func TestSparseLadderBand(t *testing.T) {
 	xd := make([]float64, n)
 	for rep := 0; rep < 3; rep++ {
 		assemble(1 + float64(rep)*1e-6)
-		path, err := slu.Refactor(m)
+		path, err := slu.Refactor(m.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,4 +381,118 @@ func TestPatternCountInterleavedDuplicates(t *testing.T) {
 				step, p.Count(), scan, len(distinct))
 		}
 	}
+}
+
+// seqModel predicts the FactorPath of a SparseLU.Refactor from the dense
+// pivot sequences alone: the workspace learns on its first call, stays
+// sparse when the sequence repeats the previous one, recovers sparsely
+// (switching analyses mid-pass) when the sequence is one of the eight
+// most recently used, and otherwise continues densely.
+type seqModel struct {
+	mru [][]int32 // most recent first
+}
+
+func (m *seqModel) expect(seq []int32) (FactorPath, int) {
+	if len(m.mru) == 0 {
+		return FactorDenseLearn, 0
+	}
+	k := 0
+	for k < len(seq) && seq[k] == m.mru[0][k] {
+		k++
+	}
+	if k == len(seq) {
+		return FactorSparse, k
+	}
+	for _, c := range m.mru[1:] {
+		if int32sEqual(c, seq) {
+			return FactorSparseRetry, k
+		}
+	}
+	return FactorDense, k
+}
+
+func (m *seqModel) use(seq []int32) {
+	seq = append([]int32(nil), seq...)
+	out := [][]int32{seq}
+	for _, c := range m.mru {
+		if !int32sEqual(c, seq) && len(out) < len(SparseLU{}.mru) {
+			out = append(out, c)
+		}
+	}
+	m.mru = out
+}
+
+// TestSparseContinuationMatchesDense forces pivot mismatches at varied
+// steps: each random MNA system is reassembled from a handful of
+// strongly perturbed conductance sets, visited in random order, so the
+// dense pivot sequence leaves the cached one at many different steps k.
+// Each Refactor factors a fresh copy in place; its solves and
+// determinant must match LU.Refactor bit for bit, and its path must be
+// the one the pivot sequences predict.
+func TestSparseContinuationMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	paths := map[FactorPath]int{}
+	ks := map[FactorPath]map[int]bool{FactorDense: {}, FactorSparseRetry: {}}
+	for trial := 0; trial < 80; trial++ {
+		s := randMNA(rng)
+		n := s.n
+		variants := make([]*mnaSystem, 2+rng.Intn(10))
+		for v := range variants {
+			c := *s
+			c.gvals = make([]float64, len(s.gvals))
+			for i, g := range s.gvals {
+				c.gvals[i] = g * math.Exp(rng.NormFloat64()*1.5)
+			}
+			variants[v] = &c
+		}
+		slu := NewSparseLU(s.pat)
+		ref := NewLU(n)
+		var model seqModel
+		dm := NewMatrix(n)
+		b := make([]float64, n)
+		xs := make([]float64, n)
+		xd := make([]float64, n)
+	reps:
+		for rep := 0; rep < 30; rep++ {
+			variants[rng.Intn(len(variants))].assemble(dm, 1+float64(rep)*1e-3)
+			errD := ref.Refactor(dm)
+			path, err := slu.Refactor(dm.Clone())
+			switch {
+			case (err == nil) != (errD == nil):
+				t.Fatalf("trial %d rep %d: sparse err %v vs dense err %v", trial, rep, err, errD)
+			case err != nil:
+				if err.Error() != errD.Error() {
+					t.Fatalf("singular error text diverged: %q vs %q", err, errD)
+				}
+				break reps // a structurally singular draw stays singular
+			}
+			want, k := model.expect(ref.step)
+			if path != want {
+				t.Fatalf("trial %d rep %d: path %v, want %v (first mismatch at step %d of %d)", trial, rep, path, want, k, n)
+			}
+			model.use(ref.step)
+			paths[path]++
+			if ks[path] != nil {
+				ks[path][k] = true
+			}
+			if db, sb := math.Float64bits(ref.Det()), math.Float64bits(slu.Det()); db != sb {
+				t.Fatalf("trial %d rep %d (%v): det bits %x vs %x", trial, rep, path, sb, db)
+			}
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			bitsEqual(t, "x", slu.SolveInto(xs, b), ref.SolveInto(xd, b))
+		}
+	}
+	for _, p := range []FactorPath{FactorDenseLearn, FactorSparse, FactorSparseRetry, FactorDense} {
+		if paths[p] == 0 {
+			t.Errorf("path %v never exercised (%v)", p, paths)
+		}
+	}
+	for p, at := range ks {
+		if len(at) < 4 {
+			t.Errorf("path %v: mismatches only at steps %v, want at least 4 distinct", p, at)
+		}
+	}
+	t.Logf("paths %v; dense from steps %v; retries from steps %v", paths, ks[FactorDense], ks[FactorSparseRetry])
 }

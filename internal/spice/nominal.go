@@ -23,7 +23,10 @@ var ErrNotLinear = errors.New("spice: circuit is not linear")
 // fault variants against one NominalFactor concurrently.
 //
 // The embedded engine exists only for its name tables (node → unknown,
-// vsource → aux index) and is never run again after construction.
+// vsource → aux index) and its MNA matrix, which holds the in-place
+// factors; it is never run again after construction. The nominal
+// matrix itself, which the SMW refinement reads, is a clone: two n²
+// buffers in all.
 type NominalFactor struct {
 	e   *Engine
 	a   *solver.Matrix
@@ -70,8 +73,11 @@ func NewNominalFactor(ckt *netlist.Circuit, opt Options) (*NominalFactor, error)
 	// Factor twice: the first Refactor runs dense and learns the pivot
 	// sequence, the second runs (and verifies) the sparse replay, which
 	// also arms the sparse triangular solves every fault solve uses.
+	// Each factors a fresh copy of the nominal matrix in the engine's
+	// own, where the factors then stay.
 	for i := 0; i < 2; i++ {
-		if _, err := nf.lu.Refactor(nf.a); err != nil {
+		copy(e.a.A, nf.a.A)
+		if _, err := nf.lu.Refactor(e.a); err != nil {
 			return nil, fmt.Errorf("spice: nominal factorization: %w", err)
 		}
 	}

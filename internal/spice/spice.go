@@ -133,9 +133,10 @@ type Engine struct {
 	// slu holds the per-stamp-mode sparsity-aware factorisation
 	// workspaces (indexed by netlist.StampMode, lazily built from a
 	// pattern probe of the compiled stamp program). Each factorisation
-	// replays the cached elimination structure and falls back to the
-	// dense LU on a pivot-cache mismatch; results are bit-identical
-	// either way.
+	// replays the cached elimination structure and continues densely
+	// from the first step whose pivot no known structure predicts;
+	// results are bit-identical either way. It factors a in place, so
+	// a holds the LU factors from a Refactor until the next assemble.
 	slu [2]*solver.SparseLU
 
 	// Transient snapshot arena: backing storage for Tran.Xs (and the
@@ -273,7 +274,7 @@ func (e *Engine) RetuneVSource(name string, w netlist.Waveform) error {
 // so every compiled artifact is retained — node and aux numbering, the
 // per-mode stamp programs, the structural sparsity patterns and the
 // sparse symbolic analyses (the cached elimination is pivot-verified
-// per factorisation with a bit-identical dense fallback, so revalued
+// per factorisation with a bit-identical dense continuation, so revalued
 // matrices are automatically safe on the cached structure). Only when
 // an A-side value actually changed (bitwise) is the A-side stamp
 // recording dropped; a B-side-only rebind — retuning sources between

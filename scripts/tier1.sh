@@ -35,7 +35,11 @@
 #                        sprinkle→collapse→inject→classify→detect flow
 #                        (runs under SHORT=1 too: it is the only stage
 #                        covering a non-default vehicle end-to-end)
-#   9. campaignd smoke — (skipped with SHORT=1) check that dotest's
+#   9. RunMacro smoke  — dotest -quick -macro decoder and -macro ladder
+#                        must write the same JSON bytes with the default
+#                        class-analysis fan-out as strictly serial
+#                        (-gsworkers 1); runs under SHORT=1 too
+#  10. campaignd smoke — (skipped with SHORT=1) check that dotest's
 #                        in-process Run, parallel and serial, matches
 #                        the campaign engine byte for byte, and so does
 #                        a checkpointed engine run and its -resume;
@@ -45,7 +49,7 @@
 #                        completion, verify the result bytes are
 #                        identical to a direct `dotest -quick` run, and
 #                        shut the daemon down with SIGTERM (exit 130)
-#  10. campaignw smoke  — (skipped with SHORT=1) attach two campaignw
+#  11. campaignw smoke  — (skipped with SHORT=1) attach two campaignw
 #                        remote workers to the same daemon, run a second
 #                        -quick job with units leasing out over the
 #                        remote protocol, verify the served bytes are
@@ -145,14 +149,26 @@ go run ./cmd/benchkernel -benchtime 100ms -check BENCH_kernel.json
 go run ./cmd/dotest -quick -bits 6 -dft pre -maxclasses 4 >/dev/null
 echo "tier1: 6-bit vehicle smoke passed"
 
+# RunMacro smoke: a single macro's class analyses fan out over
+# Pipeline.Workers, like Run's. The default fan-out must reproduce the
+# strictly serial run byte for byte, both on the ladder (workers share
+# its nominal factorization) and on the gate-level decoder.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/dotest" ./cmd/dotest
+for m in decoder ladder; do
+	"$tmp/dotest" -quick -macro "$m" -json "$tmp/$m.json" >/dev/null
+	"$tmp/dotest" -quick -macro "$m" -gsworkers 1 -json "$tmp/$m.serial.json" >/dev/null
+	cmp "$tmp/$m.json" "$tmp/$m.serial.json"
+	cmp "$tmp/$m.json.dft" "$tmp/$m.serial.json.dft"
+done
+echo "tier1: parallel and serial RunMacro byte-identical"
+
 # Campaignd smoke: the service path must be byte-identical to the CLI.
 # A job submitted over HTTP runs the same quick configuration as a
 # direct dotest run; the served result bytes must match exactly, and a
 # SIGTERM must drain the daemon to the conventional exit status 130.
 if [ -z "${SHORT:-}" ]; then
-	tmp=$(mktemp -d)
-	trap 'rm -rf "$tmp"' EXIT
-	go build -o "$tmp/dotest" ./cmd/dotest
 	go build -o "$tmp/campaignd" ./cmd/campaignd
 	go build -o "$tmp/campaignctl" ./cmd/campaignctl
 
