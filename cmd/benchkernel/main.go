@@ -12,7 +12,9 @@
 //	benchkernel -check BENCH_kernel.json [-benchtime 100ms]
 //
 // With -check the suite runs and is compared against the checked-in
-// snapshot instead of writing one: the command fails only on a more than
+// snapshot instead of writing one. It runs at the snapshot's GOMAXPROCS,
+// because the pipeline cases shard their work over GOMAXPROCS and their
+// allocs/op depend on it. The command fails only on a more than
 // 2x ns/op regression or on an allocs/op increase beyond 0.1% (exactly
 // zero for the kernel cases, whose counts are deterministic), thresholds
 // loose enough that machine noise passes but a lost optimisation does
@@ -66,6 +68,20 @@ func main() {
 		log.Fatal(err)
 	}
 
+	var base Snapshot
+	if *check != "" {
+		var err error
+		if base, err = loadSnapshot(*check); err != nil {
+			log.Fatal(err)
+		}
+		host := runtime.GOMAXPROCS(0)
+		if base.GOMAXPROCS > 0 {
+			runtime.GOMAXPROCS(base.GOMAXPROCS)
+		}
+		log.Printf("checking at the snapshot's GOMAXPROCS=%d (host default %d)",
+			runtime.GOMAXPROCS(0), host)
+	}
+
 	snap := Snapshot{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -93,7 +109,7 @@ func main() {
 	}
 
 	if *check != "" {
-		if err := checkAgainst(*check, snap.Results); err != nil {
+		if err := checkAgainst(*check, base, snap.Results); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("bench guard: %d cases within bounds of %s\n", len(snap.Results), *check)
@@ -121,7 +137,20 @@ func main() {
 // that on the analyzeclass case) does not.
 const maxNsRegression = 2.0
 
-// checkAgainst compares fresh results to the snapshot at path. A case
+// loadSnapshot reads the snapshot at path.
+func loadSnapshot(path string) (Snapshot, error) {
+	var snap Snapshot
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return snap, err
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return snap, fmt.Errorf("%s: %v", path, err)
+	}
+	return snap, nil
+}
+
+// checkAgainst compares fresh results to snap, read from path. A case
 // fails on a more than maxNsRegression ns/op slowdown or on an
 // allocs/op increase beyond 0.1% of the snapshot. Kernel-level
 // allocation counts are deterministic per op — for them the slack
@@ -131,15 +160,7 @@ const maxNsRegression = 2.0
 // and map-growth amortisation. Cases on only one side are reported but
 // do not fail (the suite grows over time; the snapshot is regenerated
 // whenever it does).
-func checkAgainst(path string, fresh []Result) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
+func checkAgainst(path string, snap Snapshot, fresh []Result) error {
 	base := map[string]Result{}
 	for _, r := range snap.Results {
 		base[r.Name] = r

@@ -95,16 +95,16 @@ func TestRunWorkersIdentical(t *testing.T) {
 // rank-1 path, whose nominal factorization the workers share; the
 // decoder covers gate-level fault simulation. Kept tiny (one die, a few
 // classes, one pipeline per worker count): the -race run of this
-// package is close to its time budget, so under -race only the ladder
-// runs (TestRunWorkersIdentical already races the decoder's analyses).
+// package is close to its time budget, so under -race each macro
+// analyses two classes.
 func TestRunMacroWorkersIdentical(t *testing.T) {
 	cfg := parallelTestCfg()
 	cfg.MCSamples, cfg.MaxClassesPerMacro = 1, 4
 	cfg.SkipNonCat = false
-	macros := []string{"ladder", "decoder"}
 	if raceEnabled {
-		cfg.MaxClassesPerMacro, macros = 2, macros[:1]
+		cfg.MaxClassesPerMacro = 2
 	}
+	macros := []string{"ladder", "decoder"}
 	want := map[string][]byte{}
 	for _, workers := range []int{1, 2} {
 		p := core.NewPipeline(cfg)

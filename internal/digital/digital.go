@@ -235,81 +235,110 @@ func (c *Circuit) NetIndex(name string) (int, bool) {
 	return i, ok
 }
 
-// Scratch is reusable single-goroutine evaluation state for EvalInto.
-// Reset it, set the input slots, evaluate, read output slots — no
-// allocation after construction.
+// Scratch is reusable single-goroutine evaluation state for EvalInto,
+// holding lanes independent input patterns bit-parallel: lane l of slot
+// idx is bit l%64 of word idx*words + l/64. Reset it, set the input
+// lanes, evaluate, read output lanes — no allocation after construction.
 type Scratch struct {
-	val []bool
-	def []bool
+	words int
+	live  []uint64 // per word, the bits that are lanes (the last word's top bits pad)
+	val   []uint64 // slot-major: slot idx owns words [idx*words, (idx+1)*words)
+	def   []uint64
 }
 
-// NewScratch returns a scratch sized for the circuit's current net set.
-func (c *Circuit) NewScratch() (*Scratch, error) {
+// NewScratch returns a scratch of lanes patterns sized for the
+// circuit's current net set.
+func (c *Circuit) NewScratch(lanes int) (*Scratch, error) {
 	p, err := c.compiled()
 	if err != nil {
 		return nil, err
 	}
-	return &Scratch{val: make([]bool, len(p.nets)), def: make([]bool, len(p.nets))}, nil
-}
-
-// Reset clears every slot to undefined/false.
-func (s *Scratch) Reset() {
-	for i := range s.val {
-		s.val[i] = false
-		s.def[i] = false
+	words := (lanes + 63) / 64
+	live := make([]uint64, words)
+	for w := range live {
+		live[w] = ^uint64(0) >> max(0, 64*(w+1)-lanes)
 	}
+	n := len(p.nets) * words
+	return &Scratch{words: words, live: live, val: make([]uint64, n), def: make([]uint64, n)}, nil
 }
 
-// Set assigns slot idx (use before EvalInto for input nets).
-func (s *Scratch) Set(idx int, v bool) {
-	s.val[idx] = v
-	s.def[idx] = true
+// Reset clears every lane of every slot to undefined/false.
+func (s *Scratch) Reset() {
+	clear(s.val)
+	clear(s.def)
 }
 
-// Val reads slot idx after EvalInto.
-func (s *Scratch) Val(idx int) bool { return s.val[idx] }
+// Set assigns one lane of slot idx (use before EvalInto for input nets).
+func (s *Scratch) Set(idx, lane int, v bool) {
+	i, bit := idx*s.words+lane/64, uint64(1)<<(lane%64)
+	s.val[i] &^= bit
+	if v {
+		s.val[i] |= bit
+	}
+	s.def[i] |= bit
+}
 
-func (p *pgate) eval(val []bool) bool {
+// SetWord assigns lanes 64w..64w+63 of slot idx at once, bit l%64 of
+// bits being lane l.
+func (s *Scratch) SetWord(idx, w int, bits uint64) {
+	s.val[idx*s.words+w] = bits
+	s.def[idx*s.words+w] = ^uint64(0)
+}
+
+// Val reads one lane of slot idx after EvalInto.
+func (s *Scratch) Val(idx, lane int) bool {
+	return s.val[idx*s.words+lane/64]>>(lane%64)&1 == 1
+}
+
+// eval computes word w of the gate's output from its input slots' words.
+func (p *pgate) eval(val []uint64, w, words int) uint64 {
 	switch p.typ {
 	case Buf:
-		return val[p.in[0]]
+		return val[int(p.in[0])*words+w]
 	case Not:
-		return !val[p.in[0]]
+		return ^val[int(p.in[0])*words+w]
 	case And, Nand:
-		out := true
+		out := ^uint64(0)
 		for _, in := range p.in {
-			out = out && val[in]
+			out &= val[int(in)*words+w]
 		}
 		if p.typ == Nand {
-			return !out
+			return ^out
 		}
 		return out
 	case Or, Nor:
-		out := false
+		out := uint64(0)
 		for _, in := range p.in {
-			out = out || val[in]
+			out |= val[int(in)*words+w]
 		}
 		if p.typ == Nor {
-			return !out
+			return ^out
 		}
 		return out
 	case Xor:
-		out := false
+		out := uint64(0)
 		for _, in := range p.in {
-			out = out != val[in]
+			out ^= val[int(in)*words+w]
 		}
 		return out
 	}
-	return false
+	return 0
 }
 
-// EvalInto evaluates the circuit over the scratch's slots under fault f:
-// the allocation-free core of Eval. Input slots must be Set by the
-// caller (an unset input reads false, as Eval's missing map key does);
-// gate outputs land in the scratch for Val. The returned flags mirror
-// Result.IDDQ and Result.Unstable. Fault nets absent from the circuit
-// read false and absorb writes, matching the map semantics for every
-// observable output.
+// EvalInto evaluates the circuit under fault f over every lane of the
+// scratch at once, each gate one bitwise operation per word: the
+// allocation-free core of Eval. Input lanes must be Set by the caller
+// (an unset input reads false, as Eval's missing map key does); gate
+// outputs land in the scratch for Val. iddq is the OR over lanes of
+// Result.IDDQ and unstable the OR of Result.Unstable. Fault nets absent
+// from the circuit read false and absorb writes, matching the map
+// semantics for every observable output.
+//
+// Every lane follows the single-pattern pass sequence exactly: passes
+// repeat while any lane changed, and a lane that settled is a fixed
+// point the further passes leave alone. The bridge's wired-AND write
+// touches only the lanes in conflict, and the dead lanes padding the
+// last word are masked out of the change and IDDQ tests.
 func (c *Circuit) EvalInto(s *Scratch, f Fault) (iddq, unstable bool, err error) {
 	p, err := c.compiled()
 	if err != nil {
@@ -321,13 +350,7 @@ func (c *Circuit) EvalInto(s *Scratch, f Fault) (iddq, unstable bool, err error)
 		}
 		return -1
 	}
-	read := func(idx int) bool { return idx >= 0 && s.val[idx] }
-	write := func(idx int, v bool) {
-		if idx >= 0 {
-			s.val[idx] = v
-			s.def[idx] = true
-		}
-	}
+	W := s.words
 	fNet, fNet2 := -1, -1
 	if f.Kind != FaultNone {
 		fNet = slot(f.Net)
@@ -335,38 +358,55 @@ func (c *Circuit) EvalInto(s *Scratch, f Fault) (iddq, unstable bool, err error)
 			fNet2 = slot(f.Net2)
 		}
 	}
-	if f.IDDQOnly {
-		iddq = true
+	iddq = f.IDDQOnly
+	var stuck uint64
+	if f.Val {
+		stuck = ^uint64(0)
 	}
-	if f.Kind == StuckAt {
-		write(fNet, f.Val)
+	if f.Kind == StuckAt && fNet >= 0 {
+		for w := 0; w < W; w++ {
+			s.SetWord(fNet, w, stuck)
+		}
 	}
 	const maxPasses = 4
 	for pass := 0; pass < maxPasses; pass++ {
-		changed := false
+		var changed uint64
 		for gi := range p.gates {
 			g := &p.gates[gi]
-			nv := g.eval(s.val)
-			if f.Kind == StuckAt && g.out == int32(fNet) {
-				nv = f.Val
-			}
-			if !s.def[g.out] || s.val[g.out] != nv {
-				s.val[g.out] = nv
-				s.def[g.out] = true
-				changed = true
+			out := int(g.out) * W
+			for w := 0; w < W; w++ {
+				nv := g.eval(s.val, w, W)
+				if f.Kind == StuckAt && g.out == int32(fNet) {
+					nv = stuck
+				}
+				changed |= (^s.def[out+w] | (s.val[out+w] ^ nv)) & s.live[w]
+				s.val[out+w] = nv
+				s.def[out+w] = ^uint64(0)
 			}
 		}
 		if f.Kind == Bridge {
-			a, b := read(fNet), read(fNet2)
-			if a != b {
-				iddq = true
-				// Wired-AND resolution.
-				write(fNet, a && b)
-				write(fNet2, a && b)
-				changed = true
+			for w := 0; w < W; w++ {
+				var a, b uint64
+				if fNet >= 0 {
+					a = s.val[fNet*W+w]
+				}
+				if fNet2 >= 0 {
+					b = s.val[fNet2*W+w]
+				}
+				// Wired-AND resolution, in the conflicting lanes only:
+				// there a AND b is false.
+				x := (a ^ b) & s.live[w]
+				for _, n := range [2]int{fNet, fNet2} {
+					if n >= 0 {
+						s.val[n*W+w] &^= x
+						s.def[n*W+w] |= x
+					}
+				}
+				iddq = iddq || x != 0
+				changed |= x
 			}
 		}
-		if !changed {
+		if changed == 0 {
 			return iddq, false, nil
 		}
 	}
@@ -388,16 +428,16 @@ type Result struct {
 // Eval computes the circuit response to the given input assignment under
 // fault f (pass Fault{} for fault-free). Bridges are wired-AND and
 // evaluated to a fixpoint. Eval is the map-shaped convenience wrapper
-// over EvalInto; hot paths (the decoder's per-level sweep) hold a
-// Scratch and call EvalInto directly.
+// over a one-lane EvalInto; hot paths (the decoder's all-levels sweep)
+// hold a many-lane Scratch and call EvalInto directly.
 func (c *Circuit) Eval(in map[string]bool, f Fault) (*Result, error) {
-	s, err := c.NewScratch()
+	s, err := c.NewScratch(1)
 	if err != nil {
 		return nil, err
 	}
 	p, _ := c.compiled()
 	for _, idx := range p.in {
-		s.Set(idx, in[p.nets[idx]])
+		s.Set(idx, 0, in[p.nets[idx]])
 	}
 	iddq, unstable, err := c.EvalInto(s, f)
 	if err != nil {
@@ -405,8 +445,8 @@ func (c *Circuit) Eval(in map[string]bool, f Fault) (*Result, error) {
 	}
 	res := &Result{Values: map[string]bool{}, IDDQ: iddq, Unstable: unstable}
 	for idx, def := range s.def {
-		if def {
-			res.Values[p.nets[idx]] = s.val[idx]
+		if def&1 == 1 {
+			res.Values[p.nets[idx]] = s.val[idx]&1 == 1
 		}
 	}
 	// A stuck-at on a net the circuit does not contain still lands in

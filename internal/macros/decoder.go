@@ -32,10 +32,20 @@ type DecoderMacro struct {
 	ckt *digital.Circuit
 	// tIdx/bIdx are the compiled net slots of the thermometer inputs
 	// (tIdx[i-1] ↔ t net i) and output bits — resolved once so the
-	// per-level decode sweep runs name-free over a reused scratch.
-	tIdx    []int
-	bIdx    []int
-	scratch sync.Pool
+	// all-levels decode sweep runs name-free over a reused scratch.
+	tIdx []int
+	bIdx []int
+	// gates maps a gate name to its gate, for the device-level faults.
+	gates   map[string]*digital.Gate
+	scratch sync.Pool // of *decodeScratch
+}
+
+// decodeScratch is one goroutine's decode state: the gate-level scratch
+// with one lane per input level, and the codes those levels decode to.
+type decodeScratch struct {
+	sim   *digital.Scratch
+	codes []int
+	seen  []bool
 }
 
 // tnet names thermometer input i (1-based).
@@ -61,12 +71,16 @@ func NewDecoder(veh Vehicle) *DecoderMacro {
 		}
 		m.bIdx = append(m.bIdx, idx)
 	}
+	m.gates = make(map[string]*digital.Gate, len(m.ckt.Gates))
+	for _, g := range m.ckt.Gates {
+		m.gates[g.Name] = g
+	}
 	m.scratch.New = func() any {
-		s, err := m.ckt.NewScratch()
+		s, err := m.ckt.NewScratch(veh.Comparators())
 		if err != nil {
 			panic(err) // unreachable: NetIndex above already compiled
 		}
-		return s
+		return &decodeScratch{sim: s, codes: make([]int, veh.Comparators()), seen: make([]bool, veh.Comparators())}
 	}
 	return m
 }
@@ -139,26 +153,32 @@ func buildOrTree(c *digital.Circuit, out string, ins []string) {
 	}
 }
 
-// decode runs the gate network on the thermometer code for input level k
-// (comparators 1..k fire) and returns the output code.
-func (m *DecoderMacro) decode(k int, f digital.Fault) (int, bool, error) {
-	s := m.scratch.Get().(*digital.Scratch)
-	defer m.scratch.Put(s)
-	s.Reset()
+// decodeAll runs the gate network on the thermometer codes of every
+// input level k at once, lane k carrying the code in which comparators
+// 1..k fire, and leaves each level's output code in d.codes[k]. iddq
+// reports a bridge conflict at any level.
+func (m *DecoderMacro) decodeAll(d *decodeScratch, f digital.Fault) (iddq bool, err error) {
+	d.sim.Reset()
 	for i, idx := range m.tIdx {
-		s.Set(idx, i+1 <= k)
-	}
-	iddq, _, err := m.ckt.EvalInto(s, f)
-	if err != nil {
-		return 0, false, err
-	}
-	code := 0
-	for bit, idx := range m.bIdx {
-		if s.Val(idx) {
-			code |= 1 << bit
+		// Input t_(i+1) is high in lanes i+1 and up (a shift by 64 or
+		// more clears the word).
+		for w := 0; w*64 < len(d.codes); w++ {
+			d.sim.SetWord(idx, w, ^uint64(0)<<max(0, i+1-64*w))
 		}
 	}
-	return code, iddq, nil
+	iddq, _, err = m.ckt.EvalInto(d.sim, f)
+	if err != nil {
+		return false, err
+	}
+	for k := range d.codes {
+		d.codes[k] = 0
+		for bit, idx := range m.bIdx {
+			if d.sim.Val(idx, k) {
+				d.codes[k] |= 1 << bit
+			}
+		}
+	}
+	return iddq, nil
 }
 
 // mapFault converts a layout-extracted fault record into the gate-level
@@ -235,12 +255,11 @@ func (m *DecoderMacro) gateNets(dev string) (in, out string, ok bool) {
 	if n := len(name); n > 2 && (name[n-2:] == ".n" || name[n-2:] == ".p") {
 		name = name[:n-2]
 	}
-	for _, g := range m.ckt.Gates {
-		if g.Name == name {
-			return g.In[0], g.Out, true
-		}
+	g, ok := m.gates[name]
+	if !ok {
+		return "", "", false
 	}
-	return "", "", false
+	return g.In[0], g.Out, true
 }
 
 // Respond implements Macro: the missing-code test is run directly through
@@ -262,22 +281,22 @@ func (m *DecoderMacro) Respond(ctx context.Context, f *faults.Fault, opt Respond
 	}
 	sp.End()
 	sp = opt.span(obs.StageFaultSim, m.Name())
-	seen := make([]bool, m.Veh.Comparators())
-	iddq := false
+	if err := ctx.Err(); err != nil {
+		sp.End()
+		return nil, err
+	}
+	d := m.scratch.Get().(*decodeScratch)
+	defer m.scratch.Put(d)
+	iddq, err := m.decodeAll(d, df)
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	clear(d.seen)
 	erratic := false
-	for k := 0; k < m.Veh.Comparators(); k++ {
-		if err := ctx.Err(); err != nil {
-			sp.End()
-			return nil, err
-		}
-		code, hit, err := m.decode(k, df)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		iddq = iddq || hit
-		if code >= 0 && code < len(seen) {
-			seen[code] = true
+	for _, code := range d.codes {
+		if code >= 0 && code < len(d.seen) {
+			d.seen[code] = true
 		} else {
 			erratic = true
 		}
@@ -296,7 +315,7 @@ func (m *DecoderMacro) Respond(ctx context.Context, f *faults.Fault, opt Respond
 	}
 	csp := opt.span(obs.StageClassify, m.Name())
 	missing := false
-	for _, s := range seen {
+	for _, s := range d.seen {
 		if !s {
 			missing = true
 		}

@@ -2,22 +2,29 @@ package macros
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/digital"
 	"repro/internal/faults"
 	"repro/internal/signature"
 )
 
 func TestDecoderExhaustiveIdentity(t *testing.T) {
-	m := NewDecoder(DefaultVehicle())
-	for k := 0; k < DefaultVehicle().Comparators(); k++ {
-		code, iddq, err := m.decode(k, faultNone())
+	for _, bits := range []int{MinBits, 6, DefaultBits} {
+		veh, err := NewVehicle(bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if code != k || iddq {
-			t.Fatalf("decode(%d) = %d iddq=%v", k, code, iddq)
+		codes, iddq := decodeLevels(t, NewDecoder(veh), faultNone())
+		if len(codes) != veh.Comparators() || iddq {
+			t.Fatalf("%d bits: %d levels, iddq=%v", bits, len(codes), iddq)
+		}
+		for k, code := range codes {
+			if code != k {
+				t.Fatalf("%d bits: level %d decodes to %d", bits, k, code)
+			}
 		}
 	}
 }
@@ -192,5 +199,75 @@ func TestTestbenchBuilders(t *testing.T) {
 	lad := BuildLadderTestbench(Nominal())
 	if lad.C.Element("r000") == nil || lad.C.Element("vrefhi") == nil {
 		t.Fatal("ladder testbench incomplete")
+	}
+}
+
+// TestDecoderLevelsMatchOneLaneEval checks the all-levels sweep lane by
+// lane: under each fault, the code of input level k must equal the
+// outputs of a one-lane Eval of level k's thermometer code, and the
+// sweep's IDDQ flag must be the OR of the per-level ones. At 4 and 5
+// bits the faults are every net stuck at 0 and at 1, each h_i–h_{i+1}
+// bridge and a gate-oxide-short bridge; at 8 bits (four words of lanes)
+// the same kinds run at the word boundaries only, because a one-lane
+// Eval of the full-size network costs a 1 500-entry value map.
+func TestDecoderLevelsMatchOneLaneEval(t *testing.T) {
+	bridge := func(i int) digital.Fault {
+		return digital.Fault{Kind: digital.Bridge, Net: fmt.Sprintf("h%03d", i), Net2: fmt.Sprintf("h%03d", i+1)}
+	}
+	stuck := func(net string) []digital.Fault {
+		return []digital.Fault{{Kind: digital.StuckAt, Net: net}, {Kind: digital.StuckAt, Net: net, Val: true}}
+	}
+	for _, bits := range []int{MinBits, 5, DefaultBits} {
+		veh, err := NewVehicle(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewDecoder(veh)
+		gos, ok := m.mapFault(&faults.Fault{Kind: faults.GOSPinhole, Device: "and005.n"})
+		if !ok || gos.Kind != digital.Bridge {
+			t.Fatalf("GOS fault maps to %+v", gos)
+		}
+		fs := []digital.Fault{gos}
+		if bits == DefaultBits {
+			fs = append(fs, bridge(63), bridge(64), bridge(127))
+			fs = append(fs, stuck("h064")...)
+		} else {
+			for i := 1; i < veh.DecoderInputs(); i++ {
+				fs = append(fs, bridge(i))
+			}
+			for _, n := range m.ckt.Nets() {
+				fs = append(fs, stuck(n)...)
+			}
+		}
+		levels := make([]map[string]bool, veh.Comparators())
+		for k := range levels {
+			levels[k] = map[string]bool{}
+			for i := 1; i <= veh.DecoderInputs(); i++ {
+				levels[k][tnet(i)] = i <= k
+			}
+		}
+		for _, f := range fs {
+			codes, iddq := decodeLevels(t, m, f)
+			wantIDDQ := false
+			for k, code := range codes {
+				res, err := m.ckt.Eval(levels[k], f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := 0
+				for bit := 0; bit < bits; bit++ {
+					if res.Values[fmt.Sprintf("b%d", bit)] {
+						want |= 1 << bit
+					}
+				}
+				if code != want {
+					t.Fatalf("%d bits, %+v: level %d decodes to %d, one-lane Eval to %d", bits, f, k, code, want)
+				}
+				wantIDDQ = wantIDDQ || res.IDDQ
+			}
+			if iddq != wantIDDQ {
+				t.Fatalf("%d bits, %+v: sweep IDDQ %v, per-level OR %v", bits, f, iddq, wantIDDQ)
+			}
+		}
 	}
 }

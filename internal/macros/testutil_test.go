@@ -37,3 +37,15 @@ func faultNone() digital.Fault { return digital.Fault{} }
 
 // newTestRng returns a deterministic rand source for variation tests.
 func newTestRng() *rand.Rand { return rand.New(rand.NewSource(7)) }
+
+// decodeLevels runs the decoder's all-levels sweep under f on a scratch
+// of its own and returns each input level's output code.
+func decodeLevels(t *testing.T, m *DecoderMacro, f digital.Fault) ([]int, bool) {
+	t.Helper()
+	d := m.scratch.Get().(*decodeScratch)
+	iddq, err := m.decodeAll(d, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.codes, iddq
+}
