@@ -5,7 +5,7 @@
 //
 //	dotest [-quick] [-bits N] [-defects N] [-mag N] [-mc N] [-nsigma X]
 //	       [-seed S] [-maxclasses N] [-macro name|all] [-dft pre|post|both]
-//	       [-workers N] [-gsworkers N] [-checkpoint file] [-resume]
+//	       [-workers N] [-checkpoint file] [-resume]
 //	       [-json file] [-json-stats file] [-trace file.jsonl] [-v]
 //
 // With no flags it reproduces every experiment at full fidelity (several
@@ -20,23 +20,16 @@
 // means the 250 000-defect magnitude sprinkle; -mag 1 (any value up to
 // -defects) reuses the discovery sprinkle instead.
 //
-// -workers 1 (the default) runs in-process through Pipeline.Run, which
-// fans out by itself. -workers other than 1, or -checkpoint, runs the
-// whole-vehicle methodology on the parallel campaign engine instead:
-// per-macro sprinkles and per-class fault simulations execute as units
-// on a work-stealing pool, with checkpoint/resume and run metrics
-// (including the per-stage time breakdown) printed after each DfT
-// setting. -json-stats writes those metrics, -v logs unit completions.
-// The post-DfT run appends ".dft" to the -checkpoint, -json and
-// -json-stats file names. With a single -macro, -json summarises that
-// macro alone.
-//
-// -gsworkers sets Pipeline.Workers, the bound on the pipeline's own
-// fan-out: Run's per-macro discoveries, the per-class analyses (of Run,
-// or of RunMacro under -macro), and the good-space Monte Carlo's dies
-// (0 picks GOMAXPROCS, or the campaign worker count on the engine; 1
-// runs strictly serially). Every combination of -workers and
-// -gsworkers is bit-identical.
+// Every run executes on the campaign engine: per-macro sprinkles and
+// per-class fault simulations are units on a work-stealing pool.
+// -workers bounds that pool and the good-space Monte Carlo's die group
+// (0, the default, picks GOMAXPROCS; 1 runs strictly serially); every
+// setting is bit-identical. A whole-vehicle run (-macro all) prints its
+// run metrics, including the per-stage time breakdown, after each DfT
+// setting, and can checkpoint and resume; -json-stats writes those
+// metrics, -v logs unit completions. The post-DfT run appends ".dft" to
+// the -checkpoint, -json and -json-stats file names. With a single
+// -macro, -json summarises that macro alone.
 //
 // -trace streams one JSON object per finished methodology-stage span
 // (sprinkle, collapse, inject, faultsim, classify, detect, goodspace)
@@ -74,18 +67,12 @@ type options struct {
 	spec       core.JobSpec
 	macro      string
 	workers    int
-	gsworkers  int
 	checkpoint string
 	resume     bool
 	jsonOut    string
 	jsonStats  string
 	trace      string
 	verbose    bool
-}
-
-// engine reports whether the run goes through the campaign engine.
-func (o *options) engine() bool {
-	return o.macro == "all" && (o.workers != 1 || o.checkpoint != "")
 }
 
 // parseFlags defines the command's flags on fs and parses args.
@@ -102,25 +89,24 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&s.MaxClassesPerMacro, "maxclasses", 0, "cap analysed classes per macro (0 = preset: all)")
 	fs.StringVar(&s.DfT, "dft", "both", "DfT setting: pre, post or both")
 	fs.StringVar(&o.macro, "macro", "all", "macro to analyse (comparator|ladder|biasgen|clockgen|decoder|all)")
-	fs.IntVar(&o.workers, "workers", 1, "campaign engine workers (1 = in-process Pipeline.Run, 0 = GOMAXPROCS)")
-	fs.IntVar(&o.gsworkers, "gsworkers", 0, "pipeline fan-out bound for the class analyses and the good-space dies (0 = automatic, 1 = strictly serial; any setting is bit-identical)")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "run on the campaign engine, checkpointing to this file")
+	fs.IntVar(&o.workers, "workers", 0, "fan-out bound for the campaign units and the good-space dies (0 = GOMAXPROCS, 1 = strictly serial; any setting is bit-identical)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint the campaign to this file")
 	fs.BoolVar(&o.resume, "resume", false, "resume from the checkpoint, skipping finished units")
 	fs.StringVar(&o.jsonOut, "json", "", "also write a machine-readable summary to this file")
-	fs.StringVar(&o.jsonStats, "json-stats", "", "write the campaign engine's run metrics to this file")
+	fs.StringVar(&o.jsonStats, "json-stats", "", "write the campaign's run metrics to this file")
 	fs.StringVar(&o.trace, "trace", "", "write a JSONL span trace of every methodology stage to this file")
-	fs.BoolVar(&o.verbose, "v", false, "log campaign engine unit completions")
+	fs.BoolVar(&o.verbose, "v", false, "log campaign unit completions")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if o.checkpoint != "" && o.macro != "all" {
-		return nil, errors.New("-checkpoint runs the whole vehicle; it cannot be combined with a single -macro")
+	if o.resume && o.checkpoint == "" {
+		return nil, errors.New("-resume needs -checkpoint")
 	}
-	if !o.engine() && (o.resume || o.jsonStats != "" || o.verbose) {
-		return nil, errors.New("-resume, -json-stats and -v need the campaign engine (-workers other than 1, or -checkpoint)")
+	if o.macro != "all" && (o.checkpoint != "" || o.jsonStats != "" || o.verbose) {
+		return nil, errors.New("-checkpoint, -resume, -json-stats and -v need the whole vehicle (-macro all)")
 	}
 	return o, nil
 }
@@ -151,7 +137,7 @@ func main() {
 		log.Fatal(err)
 	}
 	p := core.NewPipeline(o.spec.Config())
-	p.Workers = o.gsworkers
+	p.Workers = o.workers
 
 	// Fail fast on a bad -macro before compiling the good space or
 	// sprinkling a single defect.
@@ -181,11 +167,11 @@ func main() {
 			label, suffix = "after DfT", ".dft"
 		}
 		fmt.Printf("==== Defect-oriented test path (%s) ====\n\n", label)
-		// One stage aggregator per DfT setting, so the engine's
-		// per-stage breakdown covers exactly this run; the JSONL trace
-		// spans both settings, each record carrying its dft flag.
+		// One stage aggregator per DfT setting, so a whole-vehicle
+		// run's per-stage breakdown covers exactly this run; the JSONL
+		// trace spans both settings, each record carrying its dft flag.
 		var sinks []obs.Sink
-		if o.engine() {
+		if o.macro == "all" {
 			sinks = append(sinks, obs.NewAgg())
 		}
 		if jw != nil {
@@ -205,16 +191,10 @@ func main() {
 			}
 			continue
 		}
-		var run *core.Run
-		var out *campaign.Outcome
 		opts := o.campaignOptions(suffix)
-		if o.engine() {
-			run, out, err = p.RunParallel(ctx, dft, opts)
-			if err != nil && out != nil {
-				out.Stats.Print(os.Stderr)
-			}
-		} else {
-			run, err = p.Run(ctx, dft)
+		run, out, err := p.RunParallel(ctx, dft, opts)
+		if err != nil && out != nil {
+			out.Stats.Print(os.Stderr)
 		}
 		if err != nil {
 			fatal(ctx, err, opts.Checkpoint)
@@ -226,10 +206,8 @@ func main() {
 			title = "Fig 5: global detectability after DfT"
 		}
 		report.Global(os.Stdout, title, run)
-		if out != nil {
-			out.Stats.Print(os.Stdout)
-			fmt.Println()
-		}
+		out.Stats.Print(os.Stdout)
+		fmt.Println()
 		if o.jsonOut != "" {
 			writeJSON(o.jsonOut+suffix, func() ([]byte, error) { return report.JSON(run) })
 		}
@@ -246,7 +224,7 @@ func main() {
 	}
 }
 
-// campaignOptions configures the campaign engine for one DfT setting.
+// campaignOptions configures the campaign for one DfT setting.
 func (o *options) campaignOptions(suffix string) campaign.Options {
 	opts := campaign.Options{Workers: o.workers, Resume: o.resume}
 	if o.checkpoint != "" {

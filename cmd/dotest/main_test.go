@@ -51,6 +51,9 @@ func TestParseFlagsResolvesThroughJobSpec(t *testing.T) {
 		{[]string{"-quick", "-defects", "500"}, core.JobSpec{Quick: true, Defects: 500}},
 		{[]string{"-quick", "-mc", "5", "-nsigma", "2.5"}, core.JobSpec{Quick: true, MCSamples: 5, NSigma: 2.5}},
 		{[]string{"-seed", "7"}, core.JobSpec{Seed: 7}},
+		// Every whole-vehicle run is a campaign, so its metrics flags
+		// need no other flag.
+		{[]string{"-json-stats", "stats.json", "-v"}, core.JobSpec{}},
 		{[]string{"-bits", "6"}, core.JobSpec{Bits: 6}},
 		{[]string{"-quick", "-bits", "6", "-dft", "pre", "-maxclasses", "4"},
 			core.JobSpec{Quick: true, Bits: 6, DfT: "pre", MaxClassesPerMacro: 4}},
@@ -72,16 +75,21 @@ func TestParseFlagsResolvesThroughJobSpec(t *testing.T) {
 }
 
 // TestParseFlagsRejects: invalid specs fail through JobSpec.Validate,
-// and flag combinations the engines cannot serve fail before any work.
+// unknown flags fail in the flag package, and flag combinations a run
+// cannot serve fail before any work: -resume without a checkpoint, and
+// the whole-vehicle campaign flags with a single -macro.
 func TestParseFlagsRejects(t *testing.T) {
 	for _, args := range [][]string{
 		{"-seed", "-1"},
 		{"-defects", "-500"},
 		{"-dft", "sideways"},
 		{"-bits", "1"},
+		{"-gsworkers", "1"},
 		{"-checkpoint", "run.ckpt", "-macro", "ladder"},
 		{"-resume"},
-		{"-json-stats", "stats.json"},
+		{"-resume", "-workers", "2"},
+		{"-checkpoint", "run.ckpt", "-resume", "-macro", "ladder"},
+		{"-json-stats", "stats.json", "-macro", "ladder"},
 		{"-v", "-workers", "0", "-macro", "comparator"},
 	} {
 		if _, err := parseFlags(newFlagSet(), args); err == nil {

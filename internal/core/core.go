@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/defectsim"
 	"repro/internal/faults"
 	"repro/internal/macros"
@@ -202,13 +203,12 @@ type Pipeline struct {
 	// faultsim, classify, detect, goodspace) of every analysis run on
 	// this pipeline. nil — the default — is the zero-cost noop.
 	Obs *obs.Observer
-	// Workers bounds each in-process fan-out of the pipeline: Run's
-	// discovery and class analyses, RunMacro's class analyses, and the
-	// good-space Monte Carlo's die group (see goodspace.go). 0 is
-	// automatic — GOMAXPROCS, or the campaign worker count inside
-	// RunParallel — and 1 runs strictly serially. Any setting produces
-	// byte-identical output: every unit of work depends only on its
-	// index, and every merge is index-ordered.
+	// Workers bounds the pipeline's fan-out: the campaign workers of Run
+	// and RunMacro, and the good-space Monte Carlo's die group (see
+	// goodspace.go) of every entry point. 0 is automatic — GOMAXPROCS —
+	// and 1 runs strictly serially. Any setting produces byte-identical
+	// output: every unit of work depends only on its key or index, and
+	// every merge is canonical.
 	Workers int
 
 	veh     macros.Vehicle
@@ -613,100 +613,49 @@ func (p *Pipeline) analysisTargets(run *MacroRun) []AnalysisTarget {
 }
 
 // RunMacro executes the complete defect-oriented test path for one
-// macro. Its class analyses fan out over Workers goroutines, like Run's,
-// and the result is byte-identical for any worker count.
+// macro: Run restricted to that macro's discovery unit and the class
+// units it fans out into. The result is byte-identical for any worker
+// count.
 func (p *Pipeline) RunMacro(ctx context.Context, macroName string, dft bool) (*MacroRun, error) {
-	run, err := p.DiscoverClasses(ctx, macroName, dft)
+	if err := p.ValidateMacro(macroName); err != nil {
+		return nil, err
+	}
+	run, err := p.run(ctx, dft, []string{macroName})
 	if err != nil {
 		return nil, err
 	}
-	if err := p.analyze(ctx, []*MacroRun{run}, dft, p.workers()); err != nil {
-		return nil, err
-	}
-	return run, nil
-}
-
-// analyze runs the class analyses of runs on up to workers goroutines
-// and appends them to their macro runs in the canonical (serial) order:
-// macros in the given order, each in analysisTargets order. The results
-// land in index slots first, so the order never depends on scheduling.
-func (p *Pipeline) analyze(ctx context.Context, runs []*MacroRun, dft bool, workers int) error {
-	type job struct {
-		mr *MacroRun
-		t  AnalysisTarget
-	}
-	var jobs []job
-	for _, mr := range runs {
-		for _, t := range p.analysisTargets(mr) {
-			jobs = append(jobs, job{mr, t})
-		}
-	}
-	cas := make([]*ClassAnalysis, len(jobs))
-	err := forEach(ctx, len(jobs), workers, func(ctx context.Context, i int) error {
-		j := jobs[i]
-		ca, err := p.AnalyzeClass(ctx, j.mr.Name, j.mr.Classes[j.t.Index], j.t.NonCat, dft)
-		cas[i] = ca
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	for i, j := range jobs {
-		if j.t.NonCat {
-			j.mr.NonCat = append(j.mr.NonCat, *cas[i])
-		} else {
-			j.mr.Cat = append(j.mr.Cat, *cas[i])
-		}
-	}
-	return nil
+	return run.Macros[0], nil
 }
 
 // Run executes the whole methodology over every macro for one DfT
-// setting. The good-space Monte Carlo and the nominal responses are
-// compiled concurrently with the defect-sprinkle/fault-collapsing front
-// half — they share no state until detection — and joined before the
-// first class analysis. The macros' discoveries, and then all of their
-// class analyses, fan out over Workers goroutines. The result is
-// byte-identical to the fully-sequential traversal for any worker
-// count: every Monte Carlo stage draws from its own RNG stream, every
-// analysis depends only on its class, and the merge order is canonical.
+// setting: a store-less campaign execution (see execute) on Workers
+// campaign workers. The result is byte-identical to the fully-sequential
+// traversal for any worker count: every Monte Carlo stage draws from its
+// own RNG stream, every analysis depends only on its class, and the
+// merge order is canonical. Unlike RunParallel, Run does not degrade
+// around a failed unit: it returns an error naming every failed unit.
 func (p *Pipeline) Run(ctx context.Context, dft bool) (*Run, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	return p.run(ctx, dft, p.MacroNames())
+}
+
+// run executes the named macros without a checkpoint store. It returns
+// no Outcome, so a unit the campaign gave up on is an error naming every
+// failed unit, keys sorted, rather than a silently degraded report.
+func (p *Pipeline) run(ctx context.Context, dft bool, names []string) (*Run, error) {
+	run, out, err := p.execute(ctx, dft, names, campaign.Options{Workers: p.workers()})
+	if err != nil {
+		return nil, err
 	}
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	goodDone := make(chan error, 1)
-	go func() {
-		_, err := p.GoodSpace(gctx, dft)
-		if err == nil {
-			_, err = p.nominals(gctx, dft)
+	if len(out.Failed) > 0 {
+		keys := make([]string, 0, len(out.Failed))
+		for k := range out.Failed {
+			keys = append(keys, k)
 		}
-		goodDone <- err
-	}()
-	out := &Run{Cfg: p.Cfg, DfT: dft, Macros: make([]*MacroRun, len(p.all))}
-	err := forEach(ctx, len(p.all), p.workers(), func(ctx context.Context, i int) error {
-		mr, err := p.DiscoverClasses(ctx, p.all[i].Name(), dft)
-		out.Macros[i] = mr
-		return err
-	})
-	if err != nil {
-		cancel()
-		<-goodDone
-		return nil, err
+		sort.Strings(keys)
+		return nil, fmt.Errorf("core: %d units failed: %s (first: %s)",
+			len(keys), strings.Join(keys, ", "), out.Failed[keys[0]])
 	}
-	if err := <-goodDone; err != nil {
-		return nil, err
-	}
-	good, err := p.GoodSpace(ctx, dft) // cache hit: compiled above
-	if err != nil {
-		return nil, err
-	}
-	out.Good = good
-	if err := p.analyze(ctx, out.Macros, dft, p.workers()); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return run, nil
 }
 
 // analysedMagnitude sums the magnitudes of the analysed classes.

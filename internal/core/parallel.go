@@ -4,15 +4,15 @@
 // work-stealing pool of internal/campaign and merged back in canonical
 // pipeline order. Because every Monte Carlo stage draws from its own
 // (Seed, macro, pass) RNG stream and the class analyses are themselves
-// deterministic, the merged result is bit-identical to the serial
-// Pipeline.Run at the same seed, for any worker count and any schedule.
+// deterministic, the merged result is bit-identical to the strictly
+// serial traversal at the same seed, for any worker count and any
+// schedule. Run, RunMacro and RunParallel all execute through here.
 package core
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -131,57 +131,51 @@ func (p *Pipeline) macroUnit(macroName string, dft bool) campaign.Unit {
 
 // RunParallel executes the whole methodology over every macro for one
 // DfT setting on the campaign engine. The merged Run is bit-identical to
-// the serial Run(dft) at the same configuration; a fault class whose
-// unit failed (after retries) is dropped from the analyses — degrading
-// the coverage report — instead of aborting the campaign. The Outcome
-// carries the run metrics; it is non-nil whenever a campaign was
-// started, including on cancellation.
+// Run(dft) at the same configuration; a fault class whose unit failed
+// (after retries) is dropped from the analyses — degrading the coverage
+// report — instead of aborting the campaign. The Outcome carries the run
+// metrics; it is non-nil whenever a campaign was started, including on
+// cancellation.
 func (p *Pipeline) RunParallel(ctx context.Context, dft bool, opts campaign.Options) (*Run, *campaign.Outcome, error) {
+	return p.execute(ctx, dft, p.MacroNames(), opts)
+}
+
+// execute is the one scheduler of the methodology: it runs the named
+// macros' discovery units, and the class units they fan out into, on the
+// campaign engine and merges the results in canonical order.
+//
+// The good space and the nominal responses are compiled on a background
+// goroutine, overlapping the campaign's defect-sprinkle front half — they
+// share no state until detection; the class units join the in-flight
+// compiles through their compute-once memos the moment they need them. A
+// real compile failure (not a cancellation) dooms every class unit, so it
+// cancels the campaign instead of letting the units fail one by one.
+func (p *Pipeline) execute(ctx context.Context, dft bool, names []string, opts campaign.Options) (*Run, *campaign.Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The pipeline's own fan-out (the good-space Monte Carlo) inherits
-	// the campaign's worker count when no explicit bound was set: the
-	// campaign workers sit idle in the sprinkle barrier anyway while the
-	// good space compiles, so the same parallelism budget applies.
-	if p.Workers == 0 {
-		if opts.Workers > 0 {
-			p.Workers = opts.Workers
-		} else {
-			p.Workers = runtime.GOMAXPROCS(0)
-		}
-	}
-	// Overlap the good-space compile with the campaign's defect-sprinkle
-	// front half: the class-analysis units join the in-flight compile
-	// through GoodSpace's compute-once memo the moment they need it. A real
-	// compile failure (not a cancellation) dooms every class unit, so it
-	// cancels the campaign instead of letting the units fail one by one.
 	cctx, cancelCampaign := context.WithCancel(ctx)
 	defer cancelCampaign()
 	goodDone := make(chan error, 1)
 	go func() {
 		_, err := p.GoodSpace(cctx, dft)
+		if err == nil {
+			_, err = p.nominals(cctx, dft)
+		}
 		if err != nil && cctx.Err() == nil && !spice.IsCancelled(err) {
 			cancelCampaign()
 		}
 		goodDone <- err
 	}()
-	// The nominal responses are shared by every analysis unit: compile
-	// them up front, once, on the caller's goroutine.
-	if _, err := p.nominals(ctx, dft); err != nil {
-		cancelCampaign()
-		<-goodDone
-		return nil, nil, err
-	}
 	if opts.Fingerprint == "" {
 		opts.Fingerprint = Fingerprint(p.Cfg, dft)
 	}
 	if opts.Decode == nil {
 		opts.Decode = decodeUnit
 	}
-	roots := make([]campaign.Unit, 0, len(p.all))
-	for _, name := range p.MacroNames() {
-		roots = append(roots, p.macroUnit(name, dft))
+	roots := make([]campaign.Unit, len(names))
+	for i, name := range names {
+		roots[i] = p.macroUnit(name, dft)
 	}
 	out, err := campaign.Execute(cctx, opts, roots)
 	if err != nil {
@@ -195,25 +189,22 @@ func (p *Pipeline) RunParallel(ctx context.Context, dft bool, opts campaign.Opti
 		// above guarantees the goodspace spans are in the aggregate.
 		out.Stats.Stages = p.Obs.Stages()
 	}
-	if err != nil {
-		// When the campaign died because the good-space compile failed,
-		// the compile error is the root cause; surface it instead of the
-		// derived campaign cancellation.
-		if gerr != nil && ctx.Err() == nil && !spice.IsCancelled(gerr) {
-			return nil, out, gerr
-		}
+	switch {
+	case gerr != nil && ctx.Err() == nil && !spice.IsCancelled(gerr):
+		// A failed compile is the root cause of the campaign's derived
+		// cancellation, if any; surface it instead.
+		return nil, out, gerr
+	case err != nil:
 		return nil, out, err
-	}
-	// A cancellation racing the engine's final checkpoint flush must not
-	// merge the partial outcome into a Run that looks complete: surface
-	// the context error, keeping the (resumable) Outcome.
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, out, cerr
-	}
-	if gerr != nil {
+	case ctx.Err() != nil:
+		// A cancellation racing the engine's final checkpoint flush must
+		// not merge the partial outcome into a Run that looks complete:
+		// surface the context error, keeping the (resumable) Outcome.
+		return nil, out, ctx.Err()
+	case gerr != nil:
 		return nil, out, gerr
 	}
-	run, err := p.mergeRun(dft, out)
+	run, err := p.mergeRun(dft, names, out)
 	return run, out, err
 }
 
@@ -223,18 +214,19 @@ func RunParallel(ctx context.Context, cfg Config, dft bool, opts campaign.Option
 	return NewPipeline(cfg).RunParallel(ctx, dft, opts)
 }
 
-// mergeRun reassembles the campaign's keyed results into a Run in
-// canonical pipeline order: macros in pipeline order, class analyses in
-// descending-magnitude class order — exactly the serial traversal.
-func (p *Pipeline) mergeRun(dft bool, out *campaign.Outcome) (*Run, error) {
-	// The good space was compiled (and cached) before the campaign ran;
+// mergeRun reassembles the campaign's keyed results for the named
+// macros into a Run in canonical order: macros in the given order, class
+// analyses in descending-magnitude class order — exactly the serial
+// traversal.
+func (p *Pipeline) mergeRun(dft bool, names []string, out *campaign.Outcome) (*Run, error) {
+	// The good space was compiled (and cached) alongside the campaign;
 	// this lookup is a cache hit, so a background context is fine.
 	good, err := p.GoodSpace(context.Background(), dft)
 	if err != nil {
 		return nil, err
 	}
 	run := &Run{Cfg: p.Cfg, DfT: dft, Good: good}
-	for _, name := range p.MacroNames() {
+	for _, name := range names {
 		v, ok := out.Results[keyMacro+name]
 		if !ok {
 			// A lost sprinkle poisons every downstream number of the

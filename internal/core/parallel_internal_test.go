@@ -167,11 +167,11 @@ func TestMergeRunTwice(t *testing.T) {
 		}
 	}
 
-	run2, err := p.mergeRun(false, out)
+	run2, err := p.mergeRun(false, p.MacroNames(), out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run3, err := p.mergeRun(false, out)
+	run3, err := p.mergeRun(false, p.MacroNames(), out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
-// External tests for Pipeline.Run's fan-out: byte-identity across
-// worker counts and against the campaign engine, and bounded-time
-// cancellation that leaves no goroutine behind.
+// External tests for the scheduler behind Run, RunMacro and
+// RunParallel: byte-identity across worker counts and entry points,
+// bounded-time cancellation that leaves no goroutine behind, and failed
+// units surfacing as errors.
 package core_test
 
 import (
@@ -8,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,9 +25,9 @@ import (
 // runs an order of magnitude slower.
 var raceEnabled bool
 
-// runJSON runs the methodology with the given fan-out bound and returns
-// the report.JSON bytes.
-func runJSON(t *testing.T, cfg core.Config, workers int) []byte {
+// runRendered runs the methodology with the given fan-out bound and
+// returns the rendered report (see renderRun).
+func runRendered(t *testing.T, cfg core.Config, workers int) []byte {
 	t.Helper()
 	p := core.NewPipeline(cfg)
 	p.Workers = workers
@@ -33,20 +35,16 @@ func runJSON(t *testing.T, cfg core.Config, workers int) []byte {
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	data, err := report.JSON(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return renderRun(t, run)
 }
 
-// TestRunWorkersIdentical is Run's determinism contract: the report is
-// byte-identical whether the discoveries and class analyses run strictly
-// serially, on two workers or on GOMAXPROCS, and equal to the campaign
-// engine's merged result — across seeds and vehicles. Under -race one
-// small serial-vs-two-workers point suffices: the race detector needs
-// the concurrency, not the sweep (TestParallelMatchesSerial covers the
-// campaign engine there).
+// TestRunWorkersIdentical is Run's determinism contract: the rendered
+// report is byte-identical whether Run executes strictly serially, on
+// two workers or on GOMAXPROCS, and equal to RunParallel's merged result
+// — across seeds and vehicles. Under -race one small
+// serial-vs-two-workers point suffices: the race detector needs the
+// concurrency, not the sweep (TestParallelMatchesSerial covers
+// RunParallel there).
 func TestRunWorkersIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline comparison in -short mode")
@@ -64,9 +62,9 @@ func TestRunWorkersIdentical(t *testing.T) {
 				if raceEnabled {
 					cfg.MCSamples, cfg.MaxClassesPerMacro = 2, 1
 				}
-				want := runJSON(t, cfg, 1)
+				want := runRendered(t, cfg, 1)
 				for _, w := range workers {
-					if got := runJSON(t, cfg, w); !bytes.Equal(got, want) {
+					if got := runRendered(t, cfg, w); !bytes.Equal(got, want) {
 						t.Fatalf("workers=%d: Run output differs from the serial Run", w)
 					}
 				}
@@ -77,11 +75,7 @@ func TestRunWorkersIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := report.JSON(run)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
+				if got := renderRun(t, run); !bytes.Equal(got, want) {
 					t.Fatal("RunParallel output differs from the serial Run")
 				}
 			})
@@ -142,45 +136,101 @@ func (c *cancelOnAnalysis) Emit(r *obs.Record) {
 	}
 }
 
-// TestRunCancelledMidAnalysis: cancelling a parallel Run while its class
+// runEntryPoints are the two error-returning entry points of the
+// scheduler: Run over every macro, and RunMacro over the ladder.
+var runEntryPoints = []struct {
+	name string
+	run  func(ctx context.Context, p *core.Pipeline) error
+}{
+	{"Run", func(ctx context.Context, p *core.Pipeline) error {
+		_, err := p.Run(ctx, false)
+		return err
+	}},
+	{"RunMacro", func(ctx context.Context, p *core.Pipeline) error {
+		_, err := p.RunMacro(ctx, "ladder", false)
+		return err
+	}},
+}
+
+// TestRunCancelledMidAnalysis: cancelling Run or RunMacro while class
 // analyses are in flight must abort in bounded time with a cancellation
-// error, and every worker goroutine must be gone when Run returns.
+// error, and every worker goroutine must be gone when it returns.
 func TestRunCancelledMidAnalysis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run in -short mode")
 	}
-	cfg := parallelTestCfg()
-	cfg.MaxClassesPerMacro = 0 // far more analyses than the cancel point
-	before := runtime.NumGoroutine()
+	for _, ep := range runEntryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			cfg := parallelTestCfg()
+			cfg.MaxClassesPerMacro = 0 // far more analyses than the cancel point
+			before := runtime.NumGoroutine()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var cancelledAt atomic.Int64
-	sink := &cancelOnAnalysis{after: 3, cancel: func() {
-		cancelledAt.Store(time.Now().UnixNano())
-		cancel()
-	}}
-	p := core.NewPipeline(cfg)
-	p.Workers = 2
-	p.Obs = obs.New(sink)
-	_, err := p.Run(ctx, false)
-	if err == nil || !spice.IsCancelled(err) {
-		t.Fatalf("want a cancellation error, got %v", err)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var cancelledAt atomic.Int64
+			sink := &cancelOnAnalysis{after: 3, cancel: func() {
+				cancelledAt.Store(time.Now().UnixNano())
+				cancel()
+			}}
+			p := core.NewPipeline(cfg)
+			p.Workers = 2
+			p.Obs = obs.New(sink)
+			if err := ep.run(ctx, p); err == nil || !spice.IsCancelled(err) {
+				t.Fatalf("want a cancellation error, got %v", err)
+			}
+			at := cancelledAt.Load()
+			if at == 0 {
+				t.Fatal("the run finished without reaching the cancel point")
+			}
+			if took := time.Since(time.Unix(0, at)); took > 10*time.Second {
+				t.Fatalf("abort took %v after cancellation, want bounded", took)
+			}
+			// The run joins its workers before returning; allow the
+			// runtime a moment to retire the exited goroutines.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines after the cancelled run, %d before", n, before)
+			}
+		})
 	}
-	at := cancelledAt.Load()
-	if at == 0 {
-		t.Fatal("the run finished without reaching the cancel point")
+}
+
+// panicOnLadderAnalysis panics inside every ladder class analysis, at
+// the end of its fault-simulation span.
+type panicOnLadderAnalysis struct{}
+
+func (panicOnLadderAnalysis) Emit(r *obs.Record) {
+	if r.Stage == obs.StageFaultSim && r.Macro == "ladder" && r.Class != "" {
+		panic("injected")
 	}
-	if took := time.Since(time.Unix(0, at)); took > 10*time.Second {
-		t.Fatalf("abort took %v after cancellation, want bounded", took)
+}
+
+// TestRunFailedClassIsError: a class analysis that panics on a worker
+// neither kills the process nor vanishes from the report. Run and
+// RunMacro return no Outcome, so the failed units surface as an error
+// that names them, in key order.
+func TestRunFailedClassIsError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline run in -short mode")
 	}
-	// Run joins its workers before returning; allow the runtime a moment
-	// to retire the exited goroutines.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines after the cancelled Run, %d before", n, before)
+	cfg := parallelTestCfg()
+	cfg.MCSamples = 2
+	for _, ep := range runEntryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			p := core.NewPipeline(cfg)
+			p.Workers = 2
+			p.Obs = obs.New(panicOnLadderAnalysis{})
+			err := ep.run(context.Background(), p)
+			if err == nil {
+				t.Fatal("a run with panicking class analyses reported success")
+			}
+			want := "3 units failed: class/ladder/0/cat, class/ladder/1/cat, class/ladder/2/cat "
+			if msg := err.Error(); !strings.Contains(msg, want) || !strings.Contains(msg, "injected") {
+				t.Fatalf("error %q does not name the failed ladder units in order (want %q)", msg, want)
+			}
+		})
 	}
 }

@@ -16,6 +16,8 @@
 //     still live takes the key over and computes it itself.
 //   - A joined caller whose own context is cancelled returns ctx.Err()
 //     at once, without waiting for the owner.
+//   - A compute that panics caches nothing either: its joined callers
+//     receive an error, and the panic continues on the owner's stack.
 //   - A nil *Map caches nothing: Do just computes.
 //
 // A compute must not request its own key from the same Map: it would
@@ -83,7 +85,22 @@ func (m *Map[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) (v
 		m.calls[key] = c
 		m.mu.Unlock()
 
-		c.v, c.err = compute()
+		m.own(key, c, compute)
+		return c.v, false, c.err
+	}
+}
+
+// errPanicked is what joined callers receive when the owner's compute
+// panicked; the panic itself continues up the owner's stack.
+var errPanicked = errors.New("memo: compute panicked")
+
+// own runs compute for the in-flight call c and publishes its result.
+// The publication is deferred so that a panicking compute — recovered
+// further up, say by a campaign worker — still releases the key and its
+// waiters instead of leaving them blocked forever.
+func (m *Map[K, V]) own(key K, c *call[V], compute func() (V, error)) {
+	c.err = errPanicked // overwritten when compute returns
+	defer func() {
 		m.mu.Lock()
 		if c.err == nil {
 			m.done[key] = c.v
@@ -91,8 +108,8 @@ func (m *Map[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) (v
 		delete(m.calls, key)
 		m.mu.Unlock()
 		close(c.done)
-		return c.v, false, c.err
-	}
+	}()
+	c.v, c.err = compute()
 }
 
 // cancelled reports whether err is a context cancellation or deadline.

@@ -130,6 +130,48 @@ func TestJoinedWaiterGetsGenuineError(t *testing.T) {
 	}
 }
 
+// TestPanickingComputeReleasesKey: a compute that panics — recovered
+// further up the owner's stack — must not leave its joined callers
+// blocked forever. They receive an error, the panic reaches the owner,
+// and nothing is cached, so the next caller computes again.
+func TestPanickingComputeReleasesKey(t *testing.T) {
+	var m Map[int, int]
+	release := make(chan struct{})
+	started := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		m.Do(context.Background(), 1, func() (int, error) {
+			close(started)
+			<-release
+			panic("injected")
+		})
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := m.Do(context.Background(), 1, func() (int, error) { return 1, nil })
+		waiter <- err
+	}()
+	waitJoined(t)
+	close(release)
+	if r := <-recovered; r != "injected" {
+		t.Fatalf("owner recovered %v, want the compute's panic", r)
+	}
+	select {
+	case err := <-waiter:
+		if err == nil {
+			t.Fatal("the joined waiter got a value from a panicked compute")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the joined waiter is still blocked after the owner panicked")
+	}
+	v, hit, err := m.Do(context.Background(), 1, func() (int, error) { return 2, nil })
+	if err != nil || hit || v != 2 {
+		t.Fatalf("after the panic Do = (%d, hit=%v, %v), want a fresh compute of 2", v, hit, err)
+	}
+}
+
 // TestLiveWaiterTakesOverFromCancelledOwner: when the owner is cancelled,
 // a joined caller whose context is live computes the key itself, and
 // its value is cached.

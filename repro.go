@@ -79,8 +79,8 @@ type Pipeline struct {
 func NewPipeline(cfg Config) *Pipeline { return &Pipeline{core.NewPipeline(cfg)} }
 
 // Run executes the whole methodology for one DfT setting under a
-// background context. Use the embedded core.Pipeline's Run for
-// cancellation.
+// background context, on Pipeline.Workers campaign workers (0 =
+// GOMAXPROCS). Use the embedded core.Pipeline's Run for cancellation.
 func (p *Pipeline) Run(dft bool) (*Run, error) {
 	return p.Pipeline.Run(context.Background(), dft)
 }

@@ -38,12 +38,12 @@
 #   9. RunMacro smoke  — dotest -quick -macro decoder and -macro ladder
 #                        must write the same JSON bytes with the default
 #                        class-analysis fan-out as strictly serial
-#                        (-gsworkers 1); runs under SHORT=1 too
+#                        (-workers 1); runs under SHORT=1 too
 #  10. campaignd smoke — (skipped with SHORT=1) check that dotest's
-#                        in-process Run, parallel and serial, matches
-#                        the campaign engine byte for byte, and so does
-#                        a checkpointed engine run and its -resume;
-#                        then start
+#                        whole-vehicle run at the default fan-out
+#                        matches the strictly serial and the 4-worker
+#                        runs byte for byte, and so does a checkpointed
+#                        run and its -resume; then start
 #                        the job server, submit a -quick job over
 #                        HTTP, stream it to
 #                        completion, verify the result bytes are
@@ -149,8 +149,8 @@ go run ./cmd/benchkernel -benchtime 100ms -check BENCH_kernel.json
 go run ./cmd/dotest -quick -bits 6 -dft pre -maxclasses 4 >/dev/null
 echo "tier1: 6-bit vehicle smoke passed"
 
-# RunMacro smoke: a single macro's class analyses fan out over
-# Pipeline.Workers, like Run's. The default fan-out must reproduce the
+# RunMacro smoke: a single macro's class analyses fan out over the
+# campaign workers, like Run's. The default fan-out must reproduce the
 # strictly serial run byte for byte, both on the ladder (workers share
 # its nominal factorization) and on the gate-level decoder.
 tmp=$(mktemp -d)
@@ -158,7 +158,7 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/dotest" ./cmd/dotest
 for m in decoder ladder; do
 	"$tmp/dotest" -quick -macro "$m" -json "$tmp/$m.json" >/dev/null
-	"$tmp/dotest" -quick -macro "$m" -gsworkers 1 -json "$tmp/$m.serial.json" >/dev/null
+	"$tmp/dotest" -quick -macro "$m" -workers 1 -json "$tmp/$m.serial.json" >/dev/null
 	cmp "$tmp/$m.json" "$tmp/$m.serial.json"
 	cmp "$tmp/$m.json.dft" "$tmp/$m.serial.json.dft"
 done
@@ -174,22 +174,22 @@ if [ -z "${SHORT:-}" ]; then
 
 	"$tmp/dotest" -quick -dft pre -workers 0 -json "$tmp/ref.json" >/dev/null
 
-	# Pipeline.Run must match the campaign engine byte for byte, both
-	# with its default fan-out (discoveries and class analyses spread
-	# over GOMAXPROCS workers) and strictly serial (-gsworkers 1).
-	"$tmp/dotest" -quick -dft pre -json "$tmp/run.json" >/dev/null
-	cmp "$tmp/ref.json" "$tmp/run.json"
-	"$tmp/dotest" -quick -dft pre -gsworkers 1 -json "$tmp/serial.json" >/dev/null
+	# The default fan-out (GOMAXPROCS campaign workers and die workers)
+	# must match the strictly serial run (-workers 1) byte for byte, and
+	# so must an oversubscribed pool (-workers 4).
+	"$tmp/dotest" -quick -dft pre -workers 1 -json "$tmp/serial.json" >/dev/null
 	cmp "$tmp/ref.json" "$tmp/serial.json"
-	echo "tier1: parallel and serial Run byte-identical to the campaign engine"
+	"$tmp/dotest" -quick -dft pre -workers 4 -json "$tmp/w4.json" >/dev/null
+	cmp "$tmp/ref.json" "$tmp/w4.json"
+	echo "tier1: default, serial and 4-worker runs byte-identical"
 
-	# A checkpointed engine run, and a -resume that restores every unit
-	# from its checkpoint, must both reproduce the same bytes.
+	# A checkpointed run, and a -resume that restores every unit from
+	# its checkpoint, must both reproduce the same bytes.
 	"$tmp/dotest" -quick -dft pre -workers 0 -checkpoint "$tmp/ck" -json "$tmp/ck.json" >/dev/null
 	cmp "$tmp/ref.json" "$tmp/ck.json"
 	"$tmp/dotest" -quick -dft pre -workers 0 -checkpoint "$tmp/ck" -resume -json "$tmp/ck.json" >/dev/null
 	cmp "$tmp/ref.json" "$tmp/ck.json"
-	echo "tier1: checkpointed and resumed engine runs byte-identical"
+	echo "tier1: checkpointed and resumed runs byte-identical"
 
 	"$tmp/campaignd" -addr 127.0.0.1:0 -addrfile "$tmp/addr" -store "$tmp/ckpts" &
 	dpid=$!
