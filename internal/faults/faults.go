@@ -10,9 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/netlist"
-	"repro/internal/process"
 )
 
 // Kind enumerates fault mechanisms, matching the rows of the paper's
@@ -208,11 +205,9 @@ func (f Fault) NonCatEligible() bool {
 	return f.Kind == Short || f.Kind == ExtraContactKind
 }
 
-// Resolver maps layout net names to netlist node names (e.g. "vss" → "0").
-type Resolver func(string) string
-
-// DefaultResolver maps vss/gnd to ground and leaves other names unchanged.
-func DefaultResolver(net string) string {
+// resolve maps layout net names to netlist node names: vss/gnd to
+// ground, other names unchanged.
+func resolve(net string) string {
 	switch net {
 	case "vss", "gnd":
 		return "0"
@@ -227,153 +222,4 @@ type InjectOptions struct {
 	NonCat bool
 	// GOS selects the gate-oxide pinhole variant.
 	GOS GOSVariant
-	// Resolve maps layout nets to netlist nodes (DefaultResolver if nil).
-	Resolve Resolver
-}
-
-// Inject applies the circuit-level fault model for f to ckt in place.
-// The models follow the paper: resistive bridges with material-determined
-// values for shorts; 2 Ω extra contacts; 2 kΩ pinholes; node splitting for
-// opens; a minimum-size parasitic transistor for new devices; a low-ohmic
-// drain-source bridge for shorted devices; and 500 Ω ∥ 1 fF for
-// non-catastrophic variants.
-func Inject(ckt *netlist.Circuit, f Fault, proc *process.Process, opt InjectOptions) error {
-	resolve := opt.Resolve
-	if resolve == nil {
-		resolve = DefaultResolver
-	}
-	node := func(net string) netlist.NodeID { return ckt.Node(resolve(net)) }
-
-	bridge := func(tag string, a, b netlist.NodeID, r float64) {
-		if a == b {
-			return
-		}
-		if opt.NonCat && (f.Kind == Short || f.Kind == ExtraContactKind) {
-			ckt.Add(&netlist.Resistor{Label: "flt." + tag + ".r", A: a, B: b, R: proc.NonCatRes})
-			ckt.Add(&netlist.Capacitor{Label: "flt." + tag + ".c", A: a, B: b, C: proc.NonCatCap})
-			return
-		}
-		ckt.Add(&netlist.Resistor{Label: "flt." + tag, A: a, B: b, R: r})
-	}
-
-	switch f.Kind {
-	case Short, ThickOxPinhole, ExtraContactKind, JunctionPinholeKind:
-		if len(f.Nets) < 2 {
-			return fmt.Errorf("faults: %v needs ≥2 nets", f.Kind)
-		}
-		r := f.Res
-		if r <= 0 {
-			switch f.Kind {
-			case ExtraContactKind:
-				r = proc.ExtraContactRes
-			case ThickOxPinhole, JunctionPinholeKind:
-				r = proc.PinholeRes
-			default:
-				r = 0.2 // metal default; defectsim normally sets Res
-			}
-		}
-		hub := node(f.Nets[0])
-		for i, n := range f.Nets[1:] {
-			bridge(fmt.Sprintf("%d", i), hub, node(n), r)
-		}
-		return nil
-
-	case GOSPinhole:
-		mos, ok := ckt.Element(f.Device).(*netlist.MOSFET)
-		if !ok {
-			return fmt.Errorf("faults: GOS pinhole on unknown device %q", f.Device)
-		}
-		r := f.Res
-		if r <= 0 {
-			r = proc.PinholeRes
-		}
-		switch opt.GOS {
-		case GOSToSource:
-			ckt.Add(&netlist.Resistor{Label: "flt.gos", A: mos.G, B: mos.S, R: r})
-		case GOSToDrain:
-			ckt.Add(&netlist.Resistor{Label: "flt.gos", A: mos.G, B: mos.D, R: r})
-		case GOSToChannel:
-			// Channel midpoint: pinhole feeds both junctions.
-			ckt.Add(&netlist.Resistor{Label: "flt.gos.s", A: mos.G, B: mos.S, R: 2 * r})
-			ckt.Add(&netlist.Resistor{Label: "flt.gos.d", A: mos.G, B: mos.D, R: 2 * r})
-		default:
-			return fmt.Errorf("faults: bad GOS variant %d", opt.GOS)
-		}
-		return nil
-
-	case ShortedDevice:
-		mos, ok := ckt.Element(f.Device).(*netlist.MOSFET)
-		if !ok {
-			return fmt.Errorf("faults: shorted device %q not found", f.Device)
-		}
-		r := f.Res
-		if r <= 0 {
-			r = proc.ShortedDeviceRes
-		}
-		ckt.Add(&netlist.Resistor{Label: "flt.sdev", A: mos.D, B: mos.S, R: r})
-		return nil
-
-	case Open:
-		if len(f.Nets) != 1 {
-			return fmt.Errorf("faults: open needs exactly 1 net")
-		}
-		split := ckt.Node(resolve(f.Nets[0]) + "#split")
-		if err := retargetFar(ckt, f.FarTerminals, resolve, split); err != nil {
-			return err
-		}
-		return nil
-
-	case NewDevice:
-		if len(f.Nets) != 1 {
-			return fmt.Errorf("faults: new device needs exactly 1 net")
-		}
-		orig := node(f.Nets[0])
-		split := ckt.Node(resolve(f.Nets[0]) + "#nd")
-		if err := retargetFar(ckt, f.FarTerminals, resolve, split); err != nil {
-			return err
-		}
-		var gate netlist.NodeID
-		if f.GateNet == "" {
-			// Floating parasitic gate: weakly tied to ground.
-			gate = ckt.Node(resolve(f.Nets[0]) + "#ndgate")
-			ckt.Add(&netlist.Resistor{Label: "flt.ndg", A: gate, B: netlist.Ground, R: 1e9})
-		} else {
-			gate = node(f.GateNet)
-		}
-		ckt.Add(&netlist.MOSFET{
-			Label: "flt.nd", D: orig, G: gate, S: split, B: netlist.Ground,
-			Model: netlist.NMOS1(), W: 2e-6, L: 2e-6,
-		})
-		return nil
-	}
-	return fmt.Errorf("faults: unknown kind %v", f.Kind)
-}
-
-// retargetFar moves every terminal listed in far from its present net to
-// the split node.
-func retargetFar(ckt *netlist.Circuit, far []Terminal, resolve Resolver, split netlist.NodeID) error {
-	if len(far) == 0 {
-		return fmt.Errorf("faults: open with no far terminals")
-	}
-	for _, t := range far {
-		el := ckt.Element(t.Device)
-		if el == nil {
-			return fmt.Errorf("faults: open far terminal on unknown element %q", t.Device)
-		}
-		want, ok := ckt.NodeByName(resolve(t.Net))
-		if !ok {
-			return fmt.Errorf("faults: open net %q not in netlist", t.Net)
-		}
-		hit := false
-		for i, n := range el.Nodes() {
-			if n == want {
-				el.Retarget(i, split)
-				hit = true
-			}
-		}
-		if !hit {
-			return fmt.Errorf("faults: element %q has no terminal on %q", t.Device, t.Net)
-		}
-	}
-	return nil
 }

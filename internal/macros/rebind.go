@@ -64,16 +64,12 @@ func checkoutEngine(opt RespondOpts, co engineCheckout) (*spice.Engine, func(), 
 	b := co.build()
 	poolable := opt.Pool != nil
 	if co.f != nil {
-		if poolable {
-			// Plan is Inject's read-only mirror: it classifies the fault
-			// before injection mutates the circuit, and a malformed
-			// fault errors identically out of Inject below.
-			plan, err := faults.Plan(b.C, *co.f, procShared, co.io)
-			poolable = err == nil && !plan.TopologyChanged
-		}
-		if err := faults.Inject(b.C, *co.f, procShared, co.io); err != nil {
+		plan, err := faults.Plan(b.C, *co.f, procShared, co.io)
+		if err != nil {
 			return nil, nil, err
 		}
+		plan.Apply(b.C)
+		poolable = poolable && !plan.TopologyChanged
 	}
 	eng := spice.New(b.C, opt.simOptions())
 	opt.Metrics.Add(obs.CtrFullRebuilds, 1)
@@ -85,8 +81,8 @@ func checkoutEngine(opt RespondOpts, co engineCheckout) (*spice.Engine, func(), 
 
 // revalueEngine rebinds a pooled engine to the checkout's values: the
 // recorded base binding plus one slot per planned fault element. The
-// fault slots carry the exact values Inject would stamp — Plan is its
-// pinned mirror — so a revalued engine holds bit-for-bit the element
+// fault slots carry the exact values a fresh build applies — both come
+// from one Plan — so a revalued engine holds bit-for-bit the element
 // values of a fresh build+inject of the same checkout. Any error means
 // "discard this engine".
 func revalueEngine(eng *spice.Engine, co engineCheckout) error {

@@ -36,9 +36,9 @@ type rebindMacro struct {
 	slice     func(rng *rand.Rand) float64
 }
 
-// TestRevaluePropertyBitIdentical is the rebind analogue of the Plan /
-// Inject drift guard: for hundreds of random (Variation, conductance-only
-// fault, slice) triples per macro, an engine checked out of the pool and
+// TestRevaluePropertyBitIdentical is the rebind analogue of the
+// faults package's Plan-against-reference guard: for hundreds of random
+// (Variation, conductance-only fault, slice) triples per macro, an engine checked out of the pool and
 // Revalued in place must assemble bit-identical MNA systems — and, on a
 // sampled subset, solve to bit-identical operating points — as an engine
 // freshly built and injected at exactly that triple.

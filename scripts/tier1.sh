@@ -38,12 +38,15 @@
 #   9. RunMacro smoke  — dotest -quick -macro decoder and -macro ladder
 #                        must write the same JSON bytes with the default
 #                        class-analysis fan-out as strictly serial
-#                        (-workers 1); runs under SHORT=1 too
+#                        (-workers 1), and those bytes must match the
+#                        sha256 pinned in scripts/digests.sha256; runs
+#                        under SHORT=1 too
 #  10. campaignd smoke — (skipped with SHORT=1) check that dotest's
 #                        whole-vehicle run at the default fan-out
-#                        matches the strictly serial and the 4-worker
-#                        runs byte for byte, and so does a checkpointed
-#                        run and its -resume; then start
+#                        matches its pinned sha256 and the strictly
+#                        serial and the 4-worker runs byte for byte,
+#                        and so does a checkpointed run and its
+#                        -resume; then start
 #                        the job server, submit a -quick job over
 #                        HTTP, stream it to
 #                        completion, verify the result bytes are
@@ -156,13 +159,31 @@ echo "tier1: 6-bit vehicle smoke passed"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/dotest" ./cmd/dotest
+
+# pinned FILE...: each named file in $tmp must hold the sha256 that
+# scripts/digests.sha256 records for it. Comparing runs of one binary
+# with each other cannot catch a change that moves the bytes of every
+# mode at once; the pins can. A deliberate change of results updates
+# the file in the same commit.
+digests=$(pwd)/scripts/digests.sha256
+pinned() {
+	for f in "$@"; do
+		grep "  $f\$" "$digests" || {
+			echo "tier1: no pinned digest for $f in $digests" >&2
+			exit 1
+		}
+	done >"$tmp/pins"
+	(cd "$tmp" && sha256sum -c --quiet pins)
+}
+
 for m in decoder ladder; do
 	"$tmp/dotest" -quick -macro "$m" -json "$tmp/$m.json" >/dev/null
 	"$tmp/dotest" -quick -macro "$m" -workers 1 -json "$tmp/$m.serial.json" >/dev/null
 	cmp "$tmp/$m.json" "$tmp/$m.serial.json"
 	cmp "$tmp/$m.json.dft" "$tmp/$m.serial.json.dft"
+	pinned "$m.json" "$m.json.dft"
 done
-echo "tier1: parallel and serial RunMacro byte-identical"
+echo "tier1: parallel and serial RunMacro byte-identical and pinned"
 
 # Campaignd smoke: the service path must be byte-identical to the CLI.
 # A job submitted over HTTP runs the same quick configuration as a
@@ -173,6 +194,7 @@ if [ -z "${SHORT:-}" ]; then
 	go build -o "$tmp/campaignctl" ./cmd/campaignctl
 
 	"$tmp/dotest" -quick -dft pre -workers 0 -json "$tmp/ref.json" >/dev/null
+	pinned ref.json
 
 	# The default fan-out (GOMAXPROCS campaign workers and die workers)
 	# must match the strictly serial run (-workers 1) byte for byte, and
