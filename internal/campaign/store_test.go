@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -209,4 +210,61 @@ func storeContention(t *testing.T, st Store) {
 // readers never see a torn checkpoint.
 func TestDirStoreContention(t *testing.T) {
 	storeContention(t, DirStore{Dir: t.TempDir()})
+}
+
+// FuzzCheckpointLoad: whatever bytes sit at a FileStore's path, Load
+// never panics and either errors or returns a checkpoint of the current
+// format version; an accepted checkpoint survives a Save/Load round
+// trip with its fingerprint, unit count and result keys intact. The
+// seeds are a checkpoint written by a real campaign, its truncations
+// and a wrong-version copy; they run in plain go test.
+func FuzzCheckpointLoad(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "run.ckpt")
+	opts := Options{Workers: 2, Checkpoint: path, Fingerprint: "fuzz-v1", Decode: decodeInt}
+	if _, err := Execute(context.Background(), opts, fanoutRoots(2, 2, nil)); err != nil {
+		f.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved)
+	for _, n := range []int{0, 1, len(saved) / 2, len(saved) - 1} {
+		f.Add(saved[:n])
+	}
+	f.Add([]byte(strings.Replace(string(saved), `"version":1`, `"version":2`, 1)))
+	// Fuzz workers are separate processes that each run inputs one at
+	// a time, so one path per process serves every input.
+	st := FileStore{Path: filepath.Join(f.TempDir(), "fuzz.ckpt")}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(st.Path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := st.Load("")
+		if err != nil {
+			return
+		}
+		if ck == nil || ck.Version != checkpointVersion {
+			t.Fatalf("accepted %q as %+v, want version %d", data, ck, checkpointVersion)
+		}
+		if err := st.Save(ck); err != nil {
+			t.Fatalf("save accepted checkpoint %q: %v", data, err)
+		}
+		back, err := st.Load("")
+		if err != nil {
+			t.Fatalf("reload of saved %q: %v", data, err)
+		}
+		keys := func(c *Checkpoint) []string {
+			var ks []string
+			for k := range c.Results {
+				ks = append(ks, k)
+			}
+			sort.Strings(ks)
+			return ks
+		}
+		if back.Fingerprint != ck.Fingerprint || back.Units != ck.Units ||
+			!reflect.DeepEqual(keys(back), keys(ck)) {
+			t.Fatalf("round trip of %q changed the checkpoint:\nwant %+v\ngot  %+v", data, ck, back)
+		}
+	})
 }

@@ -89,16 +89,10 @@ func (m *ClockgenMacro) Respond(ctx context.Context, f *faults.Fault, opt Respon
 	deviant := false
 	io := faults.InjectOptions{NonCat: opt.NonCat}
 	isp := opt.span(obs.StageInject, m.Name())
-	key := engineKey{macro: m.Name(), fault: faultKey(f, io)}
 	eng, release, err := checkoutEngine(opt, engineCheckout{
-		key: key,
+		key: engineKey{macro: m.Name()},
 		f:   f, io: io,
-		baseBinding: func() *netlist.Binding {
-			return opt.Pool.baseBinding(key, opt.Var, func(bind *netlist.Binding) {
-				m.buildClockgenInto(netlist.NewRecorder(bind), cgStates[0], opt.Var)
-			})
-		},
-		build: func() *netlist.Builder { return m.buildClockgenCircuit(cgStates[0], opt.Var) },
+		into: func(b *netlist.Builder) { m.buildClockgenInto(b, cgStates[0], opt.Var) },
 	})
 	isp.End()
 	if err != nil {

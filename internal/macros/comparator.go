@@ -251,26 +251,23 @@ func (m *ComparatorMacro) buildComparatorInto(b *netlist.Builder, vin float64, o
 	}
 }
 
-// cmpSession caches the recorded base binding across the runs of one
-// comparator analysis variant: the lo/hi extremes and every bisection
-// step share (Var, DfT, vref) — only the input level and the fault
-// conductances move between them, and those are rebound per checkout.
+// cmpSession is one comparator analysis variant's engine: the lo/hi
+// extremes and every bisection step simulate one circuit — (Var, DfT,
+// vref, fault) — and differ only in the input level, which each run
+// retunes. The first run checks the engine out; close releases it, and
+// may run only after the session's last Tran has been read (a Tran
+// aliases engine-owned storage).
 type cmpSession struct {
-	bind *netlist.Binding
+	eng     *spice.Engine
+	release func()
 }
 
-// binding returns the session's base binding, fetching it from the
-// pool's per-key cache (recording one when the cache misses or holds
-// another variation's values). The input-source slot is recorded at the
-// session's reference level (vinLow); checkouts retune the actual input
-// after the rebind (B-side only).
-func (s *cmpSession) binding(m *ComparatorMacro, opt RespondOpts, key engineKey) *netlist.Binding {
-	if s.bind == nil {
-		s.bind = opt.Pool.baseBinding(key, opt.Var, func(bind *netlist.Binding) {
-			m.buildComparatorInto(netlist.NewRecorder(bind), vinLow, opt)
-		})
+// close ends the session, checking a fault-free engine back into the
+// pool.
+func (s *cmpSession) close() {
+	if s.release != nil {
+		s.release()
 	}
-	return s.bind
 }
 
 // tranRun holds the distilled observations of one transient.
@@ -284,42 +281,32 @@ type tranRun struct {
 	failed            bool
 }
 
-// runOnce simulates one full three-phase conversion at the given input.
-// Runs go through the engine pool when one is attached: the testbench
-// topology is identical for every run of one (vref, DfT, leak, fault)
-// key, so a pooled engine is revalued in place — die variation values,
-// fault conductances and the input level rebound onto the compiled
-// structure, bit-identical to building afresh. Topology-changing faults
-// build fresh and bypass the pool.
+// runOnce simulates one full three-phase conversion at the given input
+// on the session's engine, checking it out on the session's first run
+// (a pooled engine for fault-free runs; see checkoutEngine).
 func (m *ComparatorMacro) runOnce(ctx context.Context, vin float64, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant, ses *cmpSession) (*tranRun, error) {
-	if ses == nil {
-		ses = &cmpSession{}
-	}
 	sp := opt.span(obs.StageInject, m.Name())
-	io := faults.InjectOptions{NonCat: opt.NonCat, GOS: gos}
-	key := engineKey{
-		macro: m.Name(), vref: m.VRef, dft: opt.DfT,
-		leak:  !opt.DfT && opt.Var.FFLeakA > 1e-9,
-		fault: faultKey(f, io),
+	if ses.eng == nil {
+		eng, release, err := checkoutEngine(opt, engineCheckout{
+			key: engineKey{
+				macro: m.Name(), vref: m.VRef, dft: opt.DfT,
+				leak: !opt.DfT && opt.Var.FFLeakA > 1e-9,
+			},
+			f:    f,
+			io:   faults.InjectOptions{NonCat: opt.NonCat, GOS: gos},
+			into: func(b *netlist.Builder) { m.buildComparatorInto(b, vin, opt) },
+		})
+		if err != nil {
+			sp.End()
+			return nil, err
+		}
+		ses.eng, ses.release = eng, release
 	}
-	eng, release, err := checkoutEngine(opt, engineCheckout{
-		key: key,
-		f:   f, io: io,
-		baseBinding: func() *netlist.Binding { return ses.binding(m, opt, key) },
-		build:       func() *netlist.Builder { return m.buildComparatorCircuit(vin, opt) },
-	})
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	if release != nil {
-		// Check back in only after the run's measurements are extracted:
-		// the Tran below aliases engine-owned snapshot storage.
-		defer release()
-	}
-	// A rebound engine carries the session's reference input; the actual
-	// level is retuned per run (B-side only — on a fresh build this
-	// re-assigns the value it was built with, bit-identically).
+	eng := ses.eng
+	// The engine carries the input level of the session's previous run
+	// (or of its build); the actual level is retuned per run (B-side
+	// only — on a fresh build this re-assigns the value it was built
+	// with, bit-identically).
 	if err := eng.RetuneVSource("vvin", netlist.DC(vin)); err != nil {
 		sp.End()
 		return nil, err
@@ -418,6 +405,7 @@ func (m *ComparatorMacro) nominalResponse(ctx context.Context, opt RespondOpts) 
 
 func (m *ComparatorMacro) respondVariant(ctx context.Context, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant) (*signature.Response, error) {
 	ses := &cmpSession{}
+	defer ses.close()
 	lo, err := m.runOnce(ctx, vinLow, f, opt, gos, ses)
 	if err != nil {
 		return nil, err
@@ -533,6 +521,7 @@ func propagateSlice(veh Vehicle, resp *signature.Response) bool {
 func (m *ComparatorMacro) bisectOffset(ctx context.Context, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant, ses *cmpSession) (float64, bool, error) {
 	if ses == nil {
 		ses = &cmpSession{}
+		defer ses.close()
 	}
 	lo, hi := vinLow, vinHigh
 	for i := 0; i < 11; i++ {

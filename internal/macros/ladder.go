@@ -83,16 +83,10 @@ func (l *LadderMacro) solveTaps(ctx context.Context, f *faults.Fault, opt Respon
 		// sinks attribute it.
 		opt.Metrics.Add(obs.CtrRank1Fallbacks, 1)
 	}
-	key := engineKey{macro: l.Name(), fault: faultKey(f, io)}
 	eng, release, err := checkoutEngine(opt, engineCheckout{
-		key: key,
+		key: engineKey{macro: l.Name()},
 		f:   f, io: io,
-		baseBinding: func() *netlist.Binding {
-			return opt.Pool.baseBinding(key, opt.Var, func(bind *netlist.Binding) {
-				l.buildLadderInto(netlist.NewRecorder(bind), opt.Var)
-			})
-		},
-		build: func() *netlist.Builder { return l.buildLadderCircuit(opt.Var) },
+		into: func(b *netlist.Builder) { l.buildLadderInto(b, opt.Var) },
 	})
 	sp.End()
 	if err != nil {

@@ -1,29 +1,23 @@
 package macros
 
 import (
-	"fmt"
-	"math"
 	"sync"
 
-	"repro/internal/faults"
 	"repro/internal/memo"
-	"repro/internal/netlist"
 	"repro/internal/signature"
 	"repro/internal/spice"
 )
 
-// engineKey identifies one compiled simulation *topology*: the macro,
-// its reference tap, the structural flags (DfT redesign, presence of
-// the leakage path) and the fault identity together determine the node
-// set, element set and terminal wiring of the testbench — everything a
+// engineKey identifies one compiled fault-free simulation *topology*:
+// the macro, its reference tap and the structural flags (DfT redesign,
+// presence of the leakage path) together determine the node set,
+// element set and terminal wiring of the testbench — everything a
 // compiled engine's stamp programs and sparse symbolic analyses depend
 // on. Values that move without moving structure — the die Variation's
-// model cards, resistances and supply levels, a conductance-only fault's
-// resistance, the input-source waveform — are deliberately NOT part of
-// the key: checkouts rebind them in place (Engine.Revalue /
-// RetuneVSource), which is bit-identical to building afresh. Topology-
-// changing faults (opens that split nodes, new devices, bridges to
-// absent nets) have no stable key and are never pooled.
+// model cards, resistances and supply levels, the stimulus levels — are
+// deliberately NOT part of the key: a checkout at another Variation
+// revalues the pooled engine in place (Engine.Revalue), which is
+// bit-identical to building afresh. Faulty engines are never pooled.
 type engineKey struct {
 	macro string
 	vref  float64
@@ -31,147 +25,65 @@ type engineKey struct {
 	// leak reports the comparator's flipflop leakage path is present
 	// (fault-free structural variant gated on !DfT && FFLeakA > 1e-9).
 	leak bool
-	// fault is the injected-element identity ("" = fault-free): the
-	// class equivalence key plus everything else that changes the
-	// planned element set. See faultKey.
-	fault string
 }
 
-// faultKey canonicalises a fault to its pool-key string: the class
-// equivalence key plus the model knobs that change the injected element
-// set or its values (resistance override, near-miss model, gate-oxide
-// variant). Fault-free runs key as "".
-func faultKey(f *faults.Fault, io faults.InjectOptions) string {
-	if f == nil {
-		return ""
-	}
-	return fmt.Sprintf("%s|r%x|nc%t|g%d", f.Key(), math.Float64bits(f.Res), io.NonCat, io.GOS)
+// pooledEngine is one checked-in fault-free engine and the Variation
+// its element values are bound to.
+type pooledEngine struct {
+	eng *spice.Engine
+	v   Variation
 }
 
-// maxFaultyKeys bounds how many distinct faulty topologies the pool
-// retains engines for. Fault-free keys are few (one per macro/DfT/leak
-// variant) and live forever; faulty keys arrive one per analysed class,
-// so without a bound a long campaign would pin an engine per class.
-// Eviction is least-recently-used; an evicted class simply rebuilds on
-// its next (unlikely) appearance.
-const maxFaultyKeys = 16
-
-// EnginePool caches compiled spice engines across Respond calls with
-// checkout semantics: acquire removes an engine from the pool, giving
-// the caller exclusive use (engines are single-goroutine objects), and
-// release returns it once the caller has extracted everything from the
-// analysis results (a Tran aliases engine-owned storage). Concurrent
-// campaign workers that miss simply build a fresh engine and check it
-// in afterwards, so the pool converges to one warm engine per worker
-// per key. Reuse is bit-identical to fresh construction: every analysis
-// restarts Newton from the zero vector, and the only state a checkout
-// mutates is the element values its rebind rewrites — to exactly the
-// values a fresh build of the same checkout would stamp (the binding is
-// recorded by running the same builder; see netlist.Binding).
+// EnginePool caches compiled fault-free spice engines across Respond
+// calls with checkout semantics: acquire removes an engine from the
+// pool, giving the caller exclusive use (engines are single-goroutine
+// objects), and release returns it once the caller has extracted
+// everything from the analysis results (a Tran aliases engine-owned
+// storage). Concurrent campaign workers that miss simply build a fresh
+// engine and check it in afterwards, so the pool converges to one warm
+// engine per worker per key. Reuse is bit-identical to fresh
+// construction: every analysis restarts Newton from the zero vector,
+// and a checkout either finds the engine bound to its own Variation or
+// rebinds it to exactly the values a fresh build would stamp (the
+// binding is recorded by running the same builder; see
+// netlist.Binding).
 //
 // A nil *EnginePool disables pooling (every acquire misses and every
 // release discards), so callers thread it unconditionally.
 type EnginePool struct {
 	mu      sync.Mutex
-	engines map[engineKey][]*spice.Engine
-	// faultUse tracks last-touch order for faulty keys (LRU bound);
-	// fault-free keys are never evicted and never appear here.
-	faultUse map[engineKey]int64
-	seq      int64
-	// binds caches the recorded fault-free base binding per nominal
-	// key, for the variation it was last recorded at. Fault analyses of
-	// one class run many Responds at one Variation, so the last-value
-	// cache turns the per-Respond recording build into a slice copy.
-	binds map[engineKey]*bindEntry
-}
-
-// bindEntry is one cached base binding: valid only for checkouts at
-// exactly the variation it was recorded under.
-type bindEntry struct {
-	v    Variation
-	bind *netlist.Binding
+	engines map[engineKey][]pooledEngine
 }
 
 // NewEnginePool returns an empty pool.
 func NewEnginePool() *EnginePool {
-	return &EnginePool{
-		engines:  map[engineKey][]*spice.Engine{},
-		faultUse: map[engineKey]int64{},
-		binds:    map[engineKey]*bindEntry{},
-	}
+	return &EnginePool{engines: map[engineKey][]pooledEngine{}}
 }
 
-// baseBinding returns a private copy of the recorded fault-free value
-// binding for nominal key k at variation v, recording one via rec on a
-// miss (first sight of the key, or the cached entry belongs to another
-// variation). The returned binding is the caller's own: appending
-// fault slots to it never touches the cache. A nil pool just records.
-func (p *EnginePool) baseBinding(k engineKey, v Variation, rec func(*netlist.Binding)) *netlist.Binding {
-	k.fault = "" // the base binding is the fault-free value set
+// acquire checks an engine out of the pool (ok false on a miss).
+func (p *EnginePool) acquire(k engineKey) (pe pooledEngine, ok bool) {
 	if p == nil {
-		bind := &netlist.Binding{}
-		rec(bind)
-		return bind
-	}
-	p.mu.Lock()
-	e := p.binds[k]
-	p.mu.Unlock()
-	if e != nil && e.v == v {
-		return e.bind.Clone()
-	}
-	bind := &netlist.Binding{}
-	rec(bind)
-	p.mu.Lock()
-	p.binds[k] = &bindEntry{v: v, bind: bind.Clone()}
-	p.mu.Unlock()
-	return bind
-}
-
-// acquire checks an engine out of the pool (nil on a miss).
-func (p *EnginePool) acquire(k engineKey) *spice.Engine {
-	if p == nil {
-		return nil
+		return pe, false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.engines[k]
 	if len(s) == 0 {
-		return nil
+		return pe, false
 	}
-	e := s[len(s)-1]
+	pe = s[len(s)-1]
 	p.engines[k] = s[:len(s)-1]
-	if k.fault != "" {
-		p.seq++
-		p.faultUse[k] = p.seq
-	}
-	return e
+	return pe, true
 }
 
-// release checks an engine back in under its key, evicting the
-// least-recently-used faulty key when a new faulty key would exceed the
-// retention bound.
-func (p *EnginePool) release(k engineKey, e *spice.Engine) {
-	if p == nil || e == nil {
+// release checks an engine back in under its key.
+func (p *EnginePool) release(k engineKey, pe pooledEngine) {
+	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if k.fault != "" {
-		if _, known := p.faultUse[k]; !known && len(p.faultUse) >= maxFaultyKeys {
-			var victim engineKey
-			oldest := int64(0)
-			for fk, at := range p.faultUse {
-				if oldest == 0 || at < oldest {
-					victim, oldest = fk, at
-				}
-			}
-			delete(p.engines, victim)
-			delete(p.faultUse, victim)
-		}
-		p.seq++
-		p.faultUse[k] = p.seq
-	}
-	p.engines[k] = append(p.engines[k], e)
+	p.engines[k] = append(p.engines[k], pe)
 }
 
 // size reports the number of pooled (checked-in) engines.

@@ -45,12 +45,11 @@ func TestPooledRespondBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFaultyRespondPoolIsolation is the pool-isolation contract of the
-// structure-keyed pool: a conductance-only faulty run pools its engine
-// under the fault's own key — never under (or out of) the fault-free
-// key — so fault-free responses after a faulty run stay bit-identical;
-// a topology-changing fault (an open splits nodes) has no stable
-// topology key and must leave the pool entirely untouched.
+// TestFaultyRespondPoolIsolation is the session contract of the pool:
+// a faulty analysis builds its own engine once, keeps it for all of its
+// runs and never checks it in — whether the fault only adds a
+// conductance or changes the topology (an open splits nodes) — so
+// fault-free responses after a faulty one stay bit-identical.
 func TestFaultyRespondPoolIsolation(t *testing.T) {
 	m := NewComparator(DefaultVehicle())
 	ctx := context.Background()
@@ -62,31 +61,41 @@ func TestFaultyRespondPoolIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := pool.size()
-	if warm == 0 {
+	if pool.size() == 0 {
 		t.Fatal("fault-free run did not populate the pool")
 	}
 
-	// Conductance-only: a bridge between existing nets. Its engine pools
-	// under the fault key, and the repeat run is served by rebind.
-	f := &faults.Fault{Kind: faults.Short, Nets: []string{"o1", "vss"}, Res: 0.2}
-	faulty, err := m.Respond(ctx, f, opt)
-	if err != nil {
-		t.Fatal(err)
+	// respond runs one faulty analysis, which must leave the pool as it
+	// found it and build exactly one engine for both of its runs.
+	respond := func(f *faults.Fault) *signature.Response {
+		t.Helper()
+		size, rebuilds := pool.size(), met.Get(obs.CtrFullRebuilds)
+		r, err := m.Respond(ctx, f, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pool.size(); got != size {
+			t.Fatalf("fault %v changed the pool: size %d -> %d", f, size, got)
+		}
+		if got := met.Get(obs.CtrFullRebuilds) - rebuilds; got != 1 {
+			t.Fatalf("fault %v: %d full rebuilds, want 1 per analysis", f, got)
+		}
+		return r
 	}
-	if reflect.DeepEqual(fresh, faulty) {
-		t.Fatal("hard short produced the fault-free response; fault was not injected")
-	}
-	hits := met.Get(obs.CtrRebindHits)
-	faulty2, err := m.Respond(ctx, f, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.Get(obs.CtrRebindHits) <= hits {
-		t.Fatal("repeated conductance-only fault was not served by rebind")
-	}
-	if !reflect.DeepEqual(faulty, faulty2) {
-		t.Fatalf("rebind-served faulty response diverged:\nwant %+v\ngot  %+v", faulty, faulty2)
+
+	// Conductance-only: a bridge between existing nets.
+	short := &faults.Fault{Kind: faults.Short, Nets: []string{"o1", "vss"}, Res: 0.2}
+	// Topology-changing: an open on m1's drain.
+	open := &faults.Fault{Kind: faults.Open, Nets: []string{"o1"},
+		FarTerminals: []faults.Terminal{{Device: "m1", Net: "o1"}}}
+	for _, f := range []*faults.Fault{short, open} {
+		first := respond(f)
+		if reflect.DeepEqual(fresh, first) {
+			t.Fatalf("fault %v produced the fault-free response; fault was not injected", f)
+		}
+		if again := respond(f); !reflect.DeepEqual(first, again) {
+			t.Fatalf("repeated fault %v diverged:\nwant %+v\ngot  %+v", f, first, again)
+		}
 	}
 
 	after, err := m.Respond(ctx, nil, opt)
@@ -94,28 +103,7 @@ func TestFaultyRespondPoolIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fresh, after) {
-		t.Fatalf("fault-free response after a faulty run diverged:\nwant %+v\ngot  %+v", fresh, after)
-	}
-
-	// Topology-changing: an open on m1's drain. Never pooled.
-	rebuilds := met.Get(obs.CtrFullRebuilds)
-	size := pool.size()
-	open := &faults.Fault{Kind: faults.Open, Nets: []string{"o1"},
-		FarTerminals: []faults.Terminal{{Device: "m1", Net: "o1"}}}
-	if _, err := m.Respond(ctx, open, opt); err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.size(); got != size {
-		t.Fatalf("topology-changing fault changed the pool: size %d -> %d", size, got)
-	}
-	if met.Get(obs.CtrFullRebuilds) <= rebuilds {
-		t.Fatal("topology-changing fault did not count a full rebuild")
-	}
-	if _, err := m.Respond(ctx, open, opt); err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.size(); got != size {
-		t.Fatalf("repeated topology-changing fault changed the pool: size %d -> %d", size, got)
+		t.Fatalf("fault-free response after faulty runs diverged:\nwant %+v\ngot  %+v", fresh, after)
 	}
 }
 

@@ -13,24 +13,25 @@ import (
 	"repro/internal/spice"
 )
 
-// rebindCase is one conductance-only fault axis of the property test.
+// rebindCase is one fault axis of the property test (f nil =
+// fault-free).
 type rebindCase struct {
 	f  *faults.Fault
 	io faults.InjectOptions
 }
 
 // rebindMacro describes one macro's (Variation, fault, slice) axes: how
-// to build a reference circuit at a concrete triple, how to record the
-// base binding the production checkout path uses, and how the slice is
-// applied to a pooled engine (B-side retune). Biasgen delegates its
-// circuit to the comparator, so the three circuit-owning macros cover
-// the whole family.
+// to construct its testbench at a concrete (Variation, slice) — the
+// construction closure the production checkout path uses — and how the
+// slice is applied to a live engine (B-side retune). Biasgen delegates
+// its circuit to the comparator, so the three circuit-owning macros
+// cover the whole family.
 type rebindMacro struct {
 	name      string
 	vref      float64
 	leak      func(v Variation) bool
 	faults    []rebindCase
-	build     func(v Variation, slice float64) *netlist.Builder
+	into      func(b *netlist.Builder, v Variation, slice float64)
 	canonical float64
 	retune    func(eng *spice.Engine, v Variation, slice float64) error
 	slice     func(rng *rand.Rand) float64
@@ -38,10 +39,13 @@ type rebindMacro struct {
 
 // TestRevaluePropertyBitIdentical is the rebind analogue of the
 // faults package's Plan-against-reference guard: for hundreds of random
-// (Variation, conductance-only fault, slice) triples per macro, an engine checked out of the pool and
-// Revalued in place must assemble bit-identical MNA systems — and, on a
-// sampled subset, solve to bit-identical operating points — as an engine
-// freshly built and injected at exactly that triple.
+// (Variation, fault, slice) triples per macro, the engine a checkout
+// serves must assemble bit-identical MNA systems — and, on a sampled
+// subset, solve to bit-identical operating points — as an engine
+// freshly built and injected at exactly that triple. Fault-free triples
+// go through the pool twice (a revalue from another Variation, then the
+// equal-Variation skip); faulty triples build one session engine at the
+// canonical slice and retune it.
 func TestRevaluePropertyBitIdentical(t *testing.T) {
 	n := 500
 	solveEvery := 25
@@ -70,9 +74,11 @@ func TestRevaluePropertyBitIdentical(t *testing.T) {
 					io: faults.InjectOptions{GOS: faults.GOSToSource}},
 				{f: &faults.Fault{Kind: faults.GOSPinhole, Device: "m2"},
 					io: faults.InjectOptions{GOS: faults.GOSToDrain}},
+				{f: &faults.Fault{Kind: faults.Open, Nets: []string{"o1"},
+					FarTerminals: []faults.Terminal{{Device: "m1", Net: "o1"}}}},
 			},
-			build: func(v Variation, slice float64) *netlist.Builder {
-				return cmp.buildComparatorCircuit(slice, RespondOpts{Var: v})
+			into: func(b *netlist.Builder, v Variation, slice float64) {
+				cmp.buildComparatorInto(b, slice, RespondOpts{Var: v})
 			},
 			canonical: vinLow,
 			retune: func(eng *spice.Engine, _ Variation, slice float64) error {
@@ -93,8 +99,8 @@ func TestRevaluePropertyBitIdentical(t *testing.T) {
 			},
 			// The ladder has no stimulus slice: its sources are the fixed
 			// reference rails, so the triple degenerates to (Variation, fault).
-			build: func(v Variation, _ float64) *netlist.Builder {
-				return lad.buildLadderCircuit(v)
+			into: func(b *netlist.Builder, v Variation, _ float64) {
+				lad.buildLadderInto(b, v)
 			},
 			slice: func(*rand.Rand) float64 { return 0 },
 		},
@@ -109,8 +115,8 @@ func TestRevaluePropertyBitIdentical(t *testing.T) {
 					io: faults.InjectOptions{GOS: faults.GOSToSource}},
 			},
 			// Slice = static phase state index.
-			build: func(v Variation, slice float64) *netlist.Builder {
-				return clk.buildClockgenCircuit(cgStates[int(slice)], v)
+			into: func(b *netlist.Builder, v Variation, slice float64) {
+				clk.buildClockgenInto(b, cgStates[int(slice)], v)
 			},
 			retune: func(eng *spice.Engine, v Variation, slice float64) error {
 				st := cgStates[int(slice)]
@@ -131,15 +137,21 @@ func TestRevaluePropertyBitIdentical(t *testing.T) {
 		t.Run(mc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(mc.name))*7919 + 0x5eed))
 			pool := NewEnginePool()
-			met := &obs.Metrics{}
+			// Fault-free checkouts count on freeMet, so the rebind bound
+			// below sees the pooled traffic only.
+			freeMet, faultyMet := &obs.Metrics{}, &obs.Metrics{}
 			for i := 0; i < n; i++ {
 				v := Draw(rng)
 				slice := mc.slice(rng)
 				fc := mc.faults[rng.Intn(len(mc.faults))]
-				opt := RespondOpts{Var: v, Pool: pool, Metrics: met}
+				opt := RespondOpts{Var: v, Pool: pool, Metrics: freeMet}
+				if fc.f != nil {
+					opt.Metrics = faultyMet
+				}
 
 				// Reference: built and injected from scratch at this triple.
-				fb := mc.build(v, slice)
+				fb := netlist.NewBuilder()
+				mc.into(fb, v, slice)
 				if fc.f != nil {
 					if err := faults.Inject(fb.C, *fc.f, procShared, fc.io); err != nil {
 						t.Fatalf("triple %d: inject: %v", i, err)
@@ -147,90 +159,100 @@ func TestRevaluePropertyBitIdentical(t *testing.T) {
 				}
 				fresh := spice.New(fb.C, opt.simOptions())
 
-				key := engineKey{macro: mc.name, vref: mc.vref,
-					leak: mc.leak != nil && mc.leak(v), fault: faultKey(fc.f, fc.io)}
 				canon := slice
 				if mc.retune != nil {
 					canon = mc.canonical
 				}
-				eng, release, err := checkoutEngine(opt, engineCheckout{
-					key: key, f: fc.f, io: fc.io,
-					baseBinding: func() *netlist.Binding {
-						bind := &netlist.Binding{}
-						mc.recordInto(bind, v)
-						return bind
-					},
-					build: func() *netlist.Builder { return mc.build(v, canon) },
-				})
-				if err != nil {
-					t.Fatalf("triple %d: checkout: %v", i, err)
+				co := engineCheckout{
+					key: engineKey{macro: mc.name, vref: mc.vref, leak: mc.leak != nil && mc.leak(v)},
+					f:   fc.f, io: fc.io,
+					into: func(b *netlist.Builder) { mc.into(b, v, canon) },
 				}
-				if release == nil {
-					t.Fatalf("triple %d: conductance-only fault %+v was classified topology-changing", i, fc.f)
-				}
-				if mc.retune != nil {
-					if err := mc.retune(eng, v, slice); err != nil {
-						t.Fatalf("triple %d: retune: %v", i, err)
+				// check checks an engine out, retunes it to the triple's
+				// slice and compares it against the fresh reference; it
+				// returns the engine and its release.
+				check := func(pass string) (*spice.Engine, func()) {
+					t.Helper()
+					eng, release, err := checkoutEngine(opt, co)
+					if err != nil {
+						t.Fatalf("triple %d %s: checkout: %v", i, pass, err)
 					}
-				}
-
-				// The assembled MNA system must match bitwise in both stamp
-				// modes (DC operating point and a transient step).
-				for _, chk := range []struct {
-					mode  netlist.StampMode
-					t, dt float64
-				}{{netlist.DCOp, 0, 0}, {netlist.Transient, 101e-9, 1e-10}} {
-					fs, rs := fresh.StampChecksum(chk.mode, chk.t, chk.dt), eng.StampChecksum(chk.mode, chk.t, chk.dt)
-					if fs != rs {
-						t.Fatalf("triple %d (fault %+v, slice %g): mode %v stamp checksum %016x != fresh %016x",
-							i, fc.f, slice, chk.mode, rs, fs)
+					if (release == nil) != (fc.f != nil) {
+						t.Fatalf("triple %d %s: fault %v: release %v, want one exactly for fault-free checkouts",
+							i, pass, fc.f, release != nil)
 					}
-				}
-
-				// Sampled subset: the full operating-point solution, bitwise.
-				if i%solveEvery == 0 {
-					fsol, ferr := fresh.OP(ctx)
-					rsol, rerr := eng.OP(ctx)
-					if (ferr == nil) != (rerr == nil) {
-						t.Fatalf("triple %d: OP error divergence: fresh %v, revalued %v", i, ferr, rerr)
-					}
-					if ferr == nil {
-						if len(fsol.X) != len(rsol.X) {
-							t.Fatalf("triple %d: solution dim %d != %d", i, len(rsol.X), len(fsol.X))
+					if mc.retune != nil {
+						if err := mc.retune(eng, v, slice); err != nil {
+							t.Fatalf("triple %d %s: retune: %v", i, pass, err)
 						}
-						for j := range fsol.X {
-							if math.Float64bits(fsol.X[j]) != math.Float64bits(rsol.X[j]) {
-								t.Fatalf("triple %d: X[%d] = %x != fresh %x",
-									i, j, math.Float64bits(rsol.X[j]), math.Float64bits(fsol.X[j]))
+					}
+
+					// The assembled MNA system must match bitwise in both
+					// stamp modes (DC operating point and a transient step).
+					for _, chk := range []struct {
+						mode  netlist.StampMode
+						t, dt float64
+					}{{netlist.DCOp, 0, 0}, {netlist.Transient, 101e-9, 1e-10}} {
+						fs, rs := fresh.StampChecksum(chk.mode, chk.t, chk.dt), eng.StampChecksum(chk.mode, chk.t, chk.dt)
+						if fs != rs {
+							t.Fatalf("triple %d %s (fault %+v, slice %g): mode %v stamp checksum %016x != fresh %016x",
+								i, pass, fc.f, slice, chk.mode, rs, fs)
+						}
+					}
+
+					// Sampled subset: the full operating-point solution, bitwise.
+					if i%solveEvery == 0 {
+						fsol, ferr := fresh.OP(ctx)
+						rsol, rerr := eng.OP(ctx)
+						if (ferr == nil) != (rerr == nil) {
+							t.Fatalf("triple %d %s: OP error divergence: fresh %v, served %v", i, pass, ferr, rerr)
+						}
+						if ferr == nil {
+							if len(fsol.X) != len(rsol.X) {
+								t.Fatalf("triple %d %s: solution dim %d != %d", i, pass, len(rsol.X), len(fsol.X))
+							}
+							for j := range fsol.X {
+								if math.Float64bits(fsol.X[j]) != math.Float64bits(rsol.X[j]) {
+									t.Fatalf("triple %d %s: X[%d] = %x != fresh %x",
+										i, pass, j, math.Float64bits(rsol.X[j]), math.Float64bits(fsol.X[j]))
+								}
 							}
 						}
 					}
+					return eng, release
+				}
+
+				eng, release := check("first")
+				if fc.f != nil {
+					continue
+				}
+				// Leave the engine at another stimulus, as a finished
+				// session does: the second checkout at the same Variation
+				// skips the revalue, and its retune must restore the slice.
+				if mc.retune != nil {
+					if err := mc.retune(eng, v, mc.slice(rng)); err != nil {
+						t.Fatalf("triple %d: retune: %v", i, err)
+					}
+				}
+				release()
+				again, release := check("second")
+				if again != eng {
+					t.Fatalf("triple %d: second checkout at one Variation was not served the pooled engine", i)
 				}
 				release()
 			}
-			// The run must have been dominated by revalues: full builds only
-			// on cold keys (bounded by distinct (leak, fault) combinations).
-			rebinds, rebuilds := met.Get(obs.CtrRebindHits), met.Get(obs.CtrFullRebuilds)
+			// The fault-free traffic must have been dominated by pool
+			// hits: full builds only on cold keys (bounded by the
+			// distinct leak variants).
+			rebinds, rebuilds := freeMet.Get(obs.CtrRebindHits), freeMet.Get(obs.CtrFullRebuilds)
 			if rebinds <= rebuilds {
 				t.Fatalf("rebind_hits (%d) must dominate full_rebuilds (%d) over %d triples",
 					rebinds, rebuilds, n)
 			}
+			// Every faulty triple built its own engine.
+			if hits := faultyMet.Get(obs.CtrRebindHits); hits != 0 {
+				t.Fatalf("faulty checkouts served %d pooled engines, want 0", hits)
+			}
 		})
-	}
-}
-
-// recordInto records the macro's base binding for the given variation,
-// mirroring what the production checkout paths do per macro.
-func (mc *rebindMacro) recordInto(bind *netlist.Binding, v Variation) {
-	b := netlist.NewRecorder(bind)
-	switch mc.name {
-	case "comparator":
-		NewComparator(DefaultVehicle()).buildComparatorInto(b, vinLow, RespondOpts{Var: v})
-	case "ladder":
-		NewLadder(DefaultVehicle()).buildLadderInto(b, v)
-	case "clockgen":
-		NewClockgen(DefaultVehicle()).buildClockgenInto(b, cgStates[0], v)
-	default:
-		panic("unknown macro " + mc.name)
 	}
 }

@@ -86,25 +86,6 @@ func (b *Binding) SetWave(label string, w Waveform) {
 	b.items = append(b.items, bindItem{label: label, kind: SlotWave, wave: w})
 }
 
-// Len returns the number of slot assignments.
-func (b *Binding) Len() int { return len(b.items) }
-
-// Reset empties the binding, retaining capacity.
-func (b *Binding) Reset() { b.items = b.items[:0] }
-
-// Truncate drops every slot past the first n, retaining capacity. A
-// caller holding a recorded base binding appends per-checkout slots
-// (fault conductances) after the base and truncates back before the
-// next checkout.
-func (b *Binding) Truncate(n int) { b.items = b.items[:n] }
-
-// Clone returns an independent copy of the binding. Checkout sessions
-// clone a cached base binding before appending their per-fault slots,
-// so the cached original is never mutated.
-func (b *Binding) Clone() *Binding {
-	return &Binding{items: append([]bindItem(nil), b.items...)}
-}
-
 // Covers reports whether the binding has exactly one slot per element
 // of the circuit. A builder-recorded binding covers its own build by
 // construction; checking coverage against a *pooled* circuit is the

@@ -117,19 +117,20 @@ const (
 	// posted an error) and were handed back to the engine's bounded
 	// retry, which re-runs them locally.
 	CtrRemoteRetries
-	// CtrRebindHits counts simulations served by revaluing a pooled
-	// compiled engine in place (new die Variation, fault conductance or
-	// stimulus slice bound onto the same topology) instead of building a
-	// fresh netlist + engine.
+	// CtrRebindHits counts engine checkouts (one per analysis session,
+	// not per simulation) served by a pooled fault-free engine, used as
+	// it is or revalued in place to a new die Variation, instead of
+	// building a fresh netlist + engine.
 	CtrRebindHits
-	// CtrFullRebuilds counts simulations that built a fresh circuit and
-	// engine: structure-cache misses and topology-changing faults (node
-	// splits, new devices) that the rebind path must not serve.
+	// CtrFullRebuilds counts engine checkouts (one per analysis
+	// session, not per simulation) that built a fresh circuit and
+	// engine: fault-free pool misses and every faulty analysis, whose
+	// engine is never pooled.
 	CtrFullRebuilds
-	// CtrPatternReuse counts Revalue calls that retained a compiled
-	// sparse symbolic analysis (the engine already held a learned
-	// pattern, so the revalued solves skip the pattern probe and the
-	// symbolic elimination re-derivation).
+	// CtrPatternReuse counts checkouts whose Revalue retained a
+	// compiled sparse symbolic analysis (the engine already held a
+	// learned pattern, so the revalued solves skip the pattern probe
+	// and the symbolic elimination re-derivation).
 	CtrPatternReuse
 	// CtrSparseRetryHits counts the CtrSparseFactorHits whose pivots
 	// left the cached sequence and that stayed sparse by switching to a

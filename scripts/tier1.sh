@@ -46,7 +46,8 @@
 #                        matches its pinned sha256 and the strictly
 #                        serial and the 4-worker runs byte for byte,
 #                        and so does a checkpointed run and its
-#                        -resume; then start
+#                        -resume; check the post-DfT whole-vehicle
+#                        run against its pinned sha256; then start
 #                        the job server, submit a -quick job over
 #                        HTTP, stream it to
 #                        completion, verify the result bytes are
@@ -204,6 +205,12 @@ if [ -z "${SHORT:-}" ]; then
 	"$tmp/dotest" -quick -dft pre -workers 4 -json "$tmp/w4.json" >/dev/null
 	cmp "$tmp/ref.json" "$tmp/w4.json"
 	echo "tier1: default, serial and 4-worker runs byte-identical"
+
+	# The post-DfT vehicle analyses bias-line shorts that the comparator
+	# and the bias generator share; pin its bytes too.
+	"$tmp/dotest" -quick -dft post -workers 0 -json "$tmp/post.json" >/dev/null
+	pinned post.json.dft
+	echo "tier1: post-DfT run pinned"
 
 	# A checkpointed run, and a -resume that restores every unit from
 	# its checkpoint, must both reproduce the same bytes.
