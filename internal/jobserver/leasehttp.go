@@ -3,6 +3,7 @@ package jobserver
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -49,6 +50,20 @@ type ResultRequest struct {
 	Error string `json:"error,omitempty"`
 }
 
+// decodeBody decodes a lease-protocol request body: exactly one JSON
+// value. Data after it makes the body malformed, like any other syntax
+// error, instead of being ignored.
+func decodeBody(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
+}
+
 // maxLeaseBatch caps the ?max=K grant batching: far beyond any sane
 // per-worker concurrency, small enough that one response body stays
 // cheap to build and parse.
@@ -66,7 +81,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad lease request: %v", err)
 		return
 	}
@@ -147,7 +162,7 @@ func (s *Server) handleUnitResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ResultRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad result: %v", err)
 		return
 	}

@@ -51,11 +51,9 @@ func NewComparatorWithRef(veh Vehicle, vref float64) *ComparatorMacro {
 // engines are rebind-served like any other fault-free run.
 func (m *ComparatorMacro) nominalOffset(ctx context.Context, dft bool, pool *EnginePool, base *Baselines) (float64, error) {
 	off, _, err := base.orNone().offsets.Do(ctx, offsetKey{vref: m.VRef, dft: dft}, func() (float64, error) {
-		// ok is false only alongside an error (an aborted bisection).
-		off, _, err := m.bisectOffset(ctx, nil, RespondOpts{
+		return m.bisectOffset(ctx, nil, RespondOpts{
 			Var: Nominal(), DfT: dft, Pool: pool, Base: base,
 		}, 0, nil)
-		return off, err
 	})
 	return off, err
 }
@@ -270,10 +268,9 @@ func (s *cmpSession) close() {
 	}
 }
 
-// tranRun holds the distilled observations of one transient.
+// tranRun holds what measure observes in one full transient.
 type tranRun struct {
 	decision int // 0, 1, or -1 (invalid level)
-	outV     float64
 	// currents per phase: index by phaseNames order.
 	ivdd, ibias, iddq [3]float64
 	iinVin, iinVref   float64
@@ -281,10 +278,12 @@ type tranRun struct {
 	failed            bool
 }
 
-// runOnce simulates one full three-phase conversion at the given input
-// on the session's engine, checking it out on the session's first run
-// (a pooled engine for fault-free runs; see checkoutEngine).
-func (m *ComparatorMacro) runOnce(ctx context.Context, vin float64, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant, ses *cmpSession) (*tranRun, error) {
+// transient simulates the three-phase conversion at the given input on
+// the session's engine until the first step at or past stop (+Inf for
+// the whole schedule), checking the engine out on the session's first
+// run (a pooled engine for fault-free runs; see checkoutEngine). A
+// convergence failure is reported as a nil Tran and a nil error.
+func (m *ComparatorMacro) transient(ctx context.Context, vin, stop float64, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant, ses *cmpSession) (*spice.Tran, error) {
 	sp := opt.span(obs.StageInject, m.Name())
 	if ses.eng == nil {
 		eng, release, err := checkoutEngine(opt, engineCheckout{
@@ -313,15 +312,59 @@ func (m *ComparatorMacro) runOnce(ctx context.Context, vin float64, f *faults.Fa
 	}
 	sp.End()
 	sp = opt.span(obs.StageFaultSim, m.Name())
-	tr, err := eng.TransientSchedule(ctx, tranSchedule)
+	tr, err := eng.TransientSchedule(ctx, tranSchedule, stop)
 	sp.End()
 	if err != nil {
 		if spice.IsCancelled(err) {
 			return nil, err
 		}
+		return nil, nil
+	}
+	return tr, nil
+}
+
+// decision reads the comparator's output at the end of the first latch
+// phase: 1 or 0 for a valid level, -1 for a mid-level output.
+func decision(tr *spice.Tran, opt RespondOpts) int {
+	out := tr.AtTime(tRead).V("out")
+	vdd := VDD * opt.Var.VddScale
+	switch {
+	case out > 0.8*vdd:
+		return 1
+	case out < 0.2*vdd:
+		return 0
+	default:
+		return -1
+	}
+}
+
+// decide runs one bisection step: the transient up to the first step at
+// or past tRead, and the first-latch decision read there. The steps it
+// takes are bit-identical to the start of measure's full schedule, so
+// the decision is the one measure would read.
+func (m *ComparatorMacro) decide(ctx context.Context, vin float64, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant, ses *cmpSession) (dec int, failed bool, err error) {
+	tr, err := m.transient(ctx, vin, tRead, f, opt, gos, ses)
+	if err != nil {
+		return 0, false, err
+	}
+	if tr == nil {
+		return 0, true, nil
+	}
+	return decision(tr, opt), false, nil
+}
+
+// measure runs the full two-cycle schedule at one of the input extremes:
+// the first-latch decision, the settled phase currents of the second
+// cycle and the clock check.
+func (m *ComparatorMacro) measure(ctx context.Context, vin float64, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant, ses *cmpSession) (*tranRun, error) {
+	tr, err := m.transient(ctx, vin, math.Inf(1), f, opt, gos, ses)
+	if err != nil {
+		return nil, err
+	}
+	if tr == nil {
 		return &tranRun{failed: true}, nil
 	}
-	run := &tranRun{}
+	run := &tranRun{decision: decision(tr, opt)}
 	iA := tr.I("vdda")
 	iB := tr.I("vddb")
 	iD := tr.I("vddd")
@@ -341,20 +384,9 @@ func (m *ComparatorMacro) runOnce(ctx context.Context, vin float64, f *faults.Fa
 			run.iinVref = a
 		}
 	}
-	// Decision at the end of the latch phase.
-	sol := tr.AtTime(tRead)
-	run.outV = sol.V("out")
-	vdd := VDD * opt.Var.VddScale
-	switch {
-	case run.outV > 0.8*vdd:
-		run.decision = 1
-	case run.outV < 0.2*vdd:
-		run.decision = 0
-	default:
-		run.decision = -1
-	}
 	// Clock-value signature: each clock's settled level during its own
 	// high phase and during another phase must match the rails.
+	vdd := VDD * opt.Var.VddScale
 	clkHigh := [3][2]float64{sampWin, ampWin, latchWin}
 	clkLowProbe := [3][2]float64{ampWin, latchWin, sampWin}
 	for i := 0; i < 3; i++ {
@@ -406,11 +438,11 @@ func (m *ComparatorMacro) nominalResponse(ctx context.Context, opt RespondOpts) 
 func (m *ComparatorMacro) respondVariant(ctx context.Context, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant) (*signature.Response, error) {
 	ses := &cmpSession{}
 	defer ses.close()
-	lo, err := m.runOnce(ctx, vinLow, f, opt, gos, ses)
+	lo, err := m.measure(ctx, vinLow, f, opt, gos, ses)
 	if err != nil {
 		return nil, err
 	}
-	hi, err := m.runOnce(ctx, vinHigh, f, opt, gos, ses)
+	hi, err := m.measure(ctx, vinHigh, f, opt, gos, ses)
 	if err != nil {
 		return nil, err
 	}
@@ -443,6 +475,9 @@ func (m *ComparatorMacro) respondVariant(ctx context.Context, f *faults.Fault, o
 	case lo.decision == -1 || hi.decision == -1:
 		resp.Voltage = signature.VSigMixed
 	case lo.decision == hi.decision:
+		// A stuck output keeps the stronger classification even when
+		// the clocks deviate; the deviation still shows in the IDDQ
+		// measurements.
 		resp.Voltage = signature.VSigStuck
 		resp.StuckVal = lo.decision
 	case lo.decision == 1 && hi.decision == 0:
@@ -451,37 +486,27 @@ func (m *ComparatorMacro) respondVariant(ctx context.Context, f *faults.Fault, o
 	default:
 		// Proper polarity: locate the trip point by bisection and
 		// compare to the design's systematic offset.
-		off, ok, err := m.bisectOffset(ctx, f, opt, gos, ses)
+		off, err := m.bisectOffset(ctx, f, opt, gos, ses)
 		if err != nil {
 			csp.End()
 			return nil, err
 		}
+		nomOff, err := m.nominalOffset(ctx, opt.DfT, opt.Pool, opt.Base)
+		if err != nil {
+			csp.End()
+			return nil, err
+		}
+		resp.OffsetV = off - nomOff
 		switch {
-		case !ok:
-			resp.Voltage = signature.VSigMixed
+		case math.Abs(resp.OffsetV) > m.Veh.OffsetLimit():
+			resp.Voltage = signature.VSigOffset
+		case clockDeviant:
+			resp.Voltage = signature.VSigClock
 		default:
-			nomOff, err := m.nominalOffset(ctx, opt.DfT, opt.Pool, opt.Base)
-			if err != nil {
-				csp.End()
-				return nil, err
-			}
-			resp.OffsetV = off - nomOff
-			switch {
-			case math.Abs(resp.OffsetV) > m.Veh.OffsetLimit():
-				resp.Voltage = signature.VSigOffset
-			case clockDeviant:
-				resp.Voltage = signature.VSigClock
-			default:
-				resp.Voltage = signature.VSigNone
-			}
+			resp.Voltage = signature.VSigNone
 		}
 	}
 	csp.End()
-	if resp.Voltage == signature.VSigStuck && clockDeviant {
-		// Keep the stronger stuck classification; clock deviation is
-		// still reflected in the IDDQ measurements.
-		_ = clockDeviant
-	}
 	resp.MissingCode = propagateSlice(m.Veh, resp)
 	return resp, nil
 }
@@ -518,25 +543,39 @@ func propagateSlice(veh Vehicle, resp *signature.Response) bool {
 // The error is non-nil only when the bisection was aborted (cancellation
 // or an injection failure), so a half-finished bisection is never
 // classified as a signature.
-func (m *ComparatorMacro) bisectOffset(ctx context.Context, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant, ses *cmpSession) (float64, bool, error) {
+//
+// A step's verdict is its first-latch decision, read at tRead, and each
+// step simulates only up to that read (decide). A breakdown after the
+// read says nothing about that decision, so the second cycle is not
+// simulated at all; a step counts as failed only when the transient
+// breaks down before the read.
+func (m *ComparatorMacro) bisectOffset(ctx context.Context, f *faults.Fault, opt RespondOpts, gos faults.GOSVariant, ses *cmpSession) (float64, error) {
 	if ses == nil {
 		ses = &cmpSession{}
 		defer ses.close()
 	}
+	return m.bisect(func(vin float64) (int, bool, error) {
+		return m.decide(ctx, vin, f, opt, gos, ses)
+	})
+}
+
+// bisect halves [vinLow, vinHigh] on the verdicts of step at most 11
+// times and returns the trip point relative to VRef.
+func (m *ComparatorMacro) bisect(step func(vin float64) (dec int, failed bool, err error)) (float64, error) {
 	lo, hi := vinLow, vinHigh
 	for i := 0; i < 11; i++ {
 		mid := (lo + hi) / 2
-		run, err := m.runOnce(ctx, mid, f, opt, gos, ses)
+		dec, failed, err := step(mid)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
-		if run.failed {
+		if failed {
 			// The extremes simulated fine, so a Newton breakdown at
 			// mid means the latch is balanced on the metastable
 			// saddle: mid is the trip point.
-			return mid - m.VRef, true, nil
+			return mid - m.VRef, nil
 		}
-		switch run.decision {
+		switch dec {
 		case 1:
 			hi = mid
 		case 0:
@@ -544,8 +583,8 @@ func (m *ComparatorMacro) bisectOffset(ctx context.Context, f *faults.Fault, opt
 		default:
 			// A mid-level output means the latch went metastable:
 			// we are within a hair of the trip point.
-			return mid - m.VRef, true, nil
+			return mid - m.VRef, nil
 		}
 	}
-	return (lo+hi)/2 - m.VRef, true, nil
+	return (lo+hi)/2 - m.VRef, nil
 }

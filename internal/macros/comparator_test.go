@@ -13,7 +13,7 @@ import (
 func TestComparatorFaultFreeDecisions(t *testing.T) {
 	m := NewComparator(DefaultVehicle())
 	opt := RespondOpts{Var: Nominal()}
-	lo, err := m.runOnce(context.Background(), vinLow, nil, opt, 0, &cmpSession{})
+	lo, err := m.measure(context.Background(), vinLow, nil, opt, 0, &cmpSession{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,14 +21,14 @@ func TestComparatorFaultFreeDecisions(t *testing.T) {
 		t.Fatal("fault-free transient failed")
 	}
 	if lo.decision != 0 {
-		t.Fatalf("decision(vin<vref) = %d (out=%.3g), want 0", lo.decision, lo.outV)
+		t.Fatalf("decision(vin<vref) = %d, want 0", lo.decision)
 	}
-	hi, err := m.runOnce(context.Background(), vinHigh, nil, opt, 0, &cmpSession{})
+	hi, err := m.measure(context.Background(), vinHigh, nil, opt, 0, &cmpSession{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hi.decision != 1 {
-		t.Fatalf("decision(vin>vref) = %d (out=%.3g), want 1", hi.decision, hi.outV)
+		t.Fatalf("decision(vin>vref) = %d, want 1", hi.decision)
 	}
 	if lo.clockDeviant || hi.clockDeviant {
 		t.Fatal("fault-free clocks must not deviate")
@@ -57,19 +57,19 @@ func TestComparatorSmallInputResolved(t *testing.T) {
 		t.Fatal(err)
 	}
 	trip := m.VRef + nomOff
-	up, err := m.runOnce(context.Background(), trip+4e-3, nil, opt, 0, &cmpSession{})
-	if err != nil || up.failed {
-		t.Fatalf("up: %v failed=%v", err, up != nil && up.failed)
+	up, failed, err := m.decide(context.Background(), trip+4e-3, nil, opt, 0, &cmpSession{})
+	if err != nil || failed {
+		t.Fatalf("up: %v failed=%v", err, failed)
 	}
-	if up.decision != 1 {
-		t.Fatalf("decision(vref+4mV) = %d (out=%.3g)", up.decision, up.outV)
+	if up != 1 {
+		t.Fatalf("decision(vref+4mV) = %d", up)
 	}
-	dn, err := m.runOnce(context.Background(), trip-4e-3, nil, opt, 0, &cmpSession{})
-	if err != nil || dn.failed {
+	dn, failed, err := m.decide(context.Background(), trip-4e-3, nil, opt, 0, &cmpSession{})
+	if err != nil || failed {
 		t.Fatal("down failed")
 	}
-	if dn.decision != 0 {
-		t.Fatalf("decision(vref-4mV) = %d (out=%.3g)", dn.decision, dn.outV)
+	if dn != 0 {
+		t.Fatalf("decision(vref-4mV) = %d", dn)
 	}
 }
 

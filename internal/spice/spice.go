@@ -785,7 +785,7 @@ type TranSeg struct {
 // step refinement. Cancelling ctx aborts between steps and between the
 // Newton iterations inside a step; the error then satisfies IsCancelled.
 func (e *Engine) Transient(ctx context.Context, tstop, dt float64) (*Tran, error) {
-	return e.TransientSchedule(ctx, []TranSeg{{Until: tstop, Dt: dt}})
+	return e.TransientSchedule(ctx, []TranSeg{{Until: tstop, Dt: dt}}, math.Inf(1))
 }
 
 // TransientSchedule runs a backward-Euler transient with a piecewise
@@ -794,10 +794,16 @@ func (e *Engine) Transient(ctx context.Context, tstop, dt float64) (*Tran, error
 // damps unstable (regenerative) modes when h·λ is large, so the latch
 // decision window must be resolved finely.
 //
+// The run ends after the first accepted step at or past stop (+Inf runs
+// the whole schedule). A stopped run's snapshots are bit-identical to
+// the first ones of the full run: the steps are the same steps, and only
+// the ones after stop are not taken. (Ending a segment at stop instead
+// would clamp its last step and change the trajectory.)
+//
 // The returned Tran aliases engine-owned snapshot storage that the next
 // transient on this engine reuses: read (or copy out) everything needed
 // from a Tran before starting another analysis on the same engine.
-func (e *Engine) TransientSchedule(ctx context.Context, segs []TranSeg) (*Tran, error) {
+func (e *Engine) TransientSchedule(ctx context.Context, segs []TranSeg, stop float64) (*Tran, error) {
 	e.bind(ctx)
 	op, err := e.opAt(0)
 	if err != nil {
@@ -811,7 +817,7 @@ func (e *Engine) TransientSchedule(ctx context.Context, segs []TranSeg) (*Tran, 
 
 	t := 0.0
 	for _, seg := range segs {
-		if x, t, err = e.runSegment(tr, x, t, seg.Until, seg.Dt); err != nil {
+		if x, t, err = e.runSegment(tr, x, t, seg.Until, seg.Dt, stop); err != nil {
 			return nil, err
 		}
 	}
@@ -846,10 +852,11 @@ func (e *Engine) snap() []float64 {
 }
 
 // runSegment advances the transient to tstop with nominal step dt,
-// appending snapshots to tr. Snapshots come from the engine's arena, so
-// a steady-state engine performs no per-step allocations at all.
-func (e *Engine) runSegment(tr *Tran, x []float64, t, tstop, dt float64) ([]float64, float64, error) {
-	for t < tstop-1e-18 {
+// appending snapshots to tr, and returns early once a step reaches stop.
+// Snapshots come from the engine's arena, so a steady-state engine
+// performs no per-step allocations at all.
+func (e *Engine) runSegment(tr *Tran, x []float64, t, tstop, dt, stop float64) ([]float64, float64, error) {
+	for t < tstop-1e-18 && t < stop {
 		step := dt
 		if t+step > tstop {
 			step = tstop - t

@@ -18,7 +18,7 @@ func TestTransientScheduleSegments(t *testing.T) {
 		{Until: 0.5e-3, Dt: 50e-6},
 		{Until: 1.0e-3, Dt: 5e-6}, // fine mid-window
 		{Until: 3.0e-3, Dt: 50e-6},
-	})
+	}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}

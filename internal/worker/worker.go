@@ -282,25 +282,13 @@ func (w *Worker) leaseN(ctx context.Context, max int) ([]*jobserver.Grant, error
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		if max <= 1 {
-			var g jobserver.Grant
-			if err := json.NewDecoder(resp.Body).Decode(&g); err != nil {
-				return nil, fmt.Errorf("worker: bad grant: %w", err)
-			}
-			return []*jobserver.Grant{&g}, nil
+		gs, err := decodeGrants(resp.Body, max > 1)
+		if err != nil {
+			return nil, err
 		}
-		var b jobserver.GrantBatch
-		if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
-			return nil, fmt.Errorf("worker: bad grant batch: %w", err)
+		if max > 1 {
+			w.batched.Add(int64(len(gs)))
 		}
-		if len(b.Grants) == 0 {
-			return nil, fmt.Errorf("worker: empty grant batch")
-		}
-		gs := make([]*jobserver.Grant, len(b.Grants))
-		for i := range b.Grants {
-			gs[i] = &b.Grants[i]
-		}
-		w.batched.Add(int64(len(gs)))
 		return gs, nil
 	case http.StatusNoContent:
 		return nil, nil
@@ -308,6 +296,45 @@ func (w *Worker) leaseN(ctx context.Context, max int) ([]*jobserver.Grant, error
 		io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("worker: lease: %s", resp.Status)
 	}
+}
+
+// decodeGrants decodes a lease response: one Grant, or with batch a
+// GrantBatch of at least one. Exactly one JSON value is accepted, and
+// every grant must name its lease, job, unit and DfT setting and carry
+// a valid spec, so a malformed body is an error before any unit starts.
+func decodeGrants(r io.Reader, batch bool) ([]*jobserver.Grant, error) {
+	var gs []jobserver.Grant
+	dec := json.NewDecoder(r)
+	if batch {
+		var b jobserver.GrantBatch
+		if err := dec.Decode(&b); err != nil {
+			return nil, fmt.Errorf("worker: bad grant batch: %w", err)
+		}
+		if len(b.Grants) == 0 {
+			return nil, fmt.Errorf("worker: empty grant batch")
+		}
+		gs = b.Grants
+	} else {
+		gs = make([]jobserver.Grant, 1)
+		if err := dec.Decode(&gs[0]); err != nil {
+			return nil, fmt.Errorf("worker: bad grant: %w", err)
+		}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("worker: data after the grant")
+	}
+	out := make([]*jobserver.Grant, len(gs))
+	for i := range gs {
+		g := &gs[i]
+		if g.Lease == "" || g.Job == "" || g.Key == "" || (g.DfT != "pre" && g.DfT != "post") {
+			return nil, fmt.Errorf("worker: grant %d lacks its lease, job, unit or DfT setting", i)
+		}
+		if err := g.Spec.Validate(); err != nil {
+			return nil, fmt.Errorf("worker: grant %d: %w", i, err)
+		}
+		out[i] = g
+	}
+	return out, nil
 }
 
 // pipeline returns (building and caching if needed) the pipeline of the
