@@ -50,10 +50,10 @@ type ResultRequest struct {
 	Error string `json:"error,omitempty"`
 }
 
-// decodeBody decodes a lease-protocol request body: exactly one JSON
-// value. Data after it makes the body malformed, like any other syntax
-// error, instead of being ignored.
-func decodeBody(r io.Reader, v any) error {
+// DecodeBody decodes a lease-protocol body, sent by either side:
+// exactly one JSON value. Data after it makes the body malformed, like
+// any other syntax error, instead of being ignored.
+func DecodeBody(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -81,7 +81,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := DecodeBody(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad lease request: %v", err)
 		return
 	}
@@ -162,7 +162,7 @@ func (s *Server) handleUnitResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ResultRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := DecodeBody(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad result: %v", err)
 		return
 	}

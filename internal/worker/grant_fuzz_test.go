@@ -6,52 +6,55 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/url"
+	"strings"
 	"testing"
 
 	"repro/internal/jobserver"
 )
 
-// bodyTransport answers every request with 200 and a fixed body.
-type bodyTransport []byte
-
-func (b bodyTransport) RoundTrip(*http.Request) (*http.Response, error) {
-	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
-		Body: io.NopCloser(bytes.NewReader(b))}, nil
+// bodyTransport answers every request with 200 and a fixed body, and
+// records each request's method and path.
+type bodyTransport struct {
+	body []byte
+	reqs *[]string
 }
 
-// wellFormed is the grant oracle: the body is one JSON value of the
-// expected shape (json.Unmarshal accepts it), and every grant names its
-// lease, job, unit and DfT setting and carries a valid spec.
+func (b bodyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	*b.reqs = append(*b.reqs, r.Method+" "+r.URL.EscapedPath())
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+		Body: io.NopCloser(bytes.NewReader(b.body))}, nil
+}
+
+// wellFormed is the lease-body oracle: the body is one JSON value of
+// the expected shape (json.Unmarshal accepts it), and a batch holds at
+// least one grant.
 func wellFormed(body []byte, batch bool) bool {
-	var gs []jobserver.Grant
 	if batch {
 		var b jobserver.GrantBatch
-		if json.Unmarshal(body, &b) != nil || len(b.Grants) == 0 {
-			return false
-		}
-		gs = b.Grants
-	} else {
-		var g jobserver.Grant
-		if json.Unmarshal(body, &g) != nil {
-			return false
-		}
-		gs = []jobserver.Grant{g}
+		return json.Unmarshal(body, &b) == nil && len(b.Grants) > 0
 	}
-	for _, g := range gs {
-		if g.Lease == "" || g.Job == "" || g.Key == "" || (g.DfT != "pre" && g.DfT != "post") || g.Spec.Validate() != nil {
-			return false
-		}
-	}
-	return true
+	var g jobserver.Grant
+	return json.Unmarshal(body, &g) == nil
+}
+
+// runnable is the grant oracle: the grant names its lease, job, unit
+// and DfT setting and carries a valid spec.
+func runnable(g *jobserver.Grant) bool {
+	return g.Lease != "" && g.Job != "" && g.Key != "" &&
+		(g.DfT == "pre" || g.DfT == "post") && g.Spec.Validate() == nil
 }
 
 // fuzzLease serves body as the lease response to a worker's leaseN with
 // the given batch bound. A malformed body must be an error that leaves
-// the worker's counters untouched; a well-formed one must come back
-// grant for grant.
+// the worker's counters untouched and sends nothing more; a well-formed
+// one must come back grant for grant. Each grant that cannot run must
+// be handed back — its error posted, or its lease released — without
+// building a pipeline.
 func fuzzLease(t *testing.T, body []byte, max int) {
+	var reqs []string
 	w, err := New(Options{Base: "http://daemon.invalid", ID: "fuzz",
-		Client: &http.Client{Transport: bodyTransport(body)}})
+		Client: &http.Client{Transport: bodyTransport{body, &reqs}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +63,8 @@ func fuzzLease(t *testing.T, body []byte, max int) {
 		if err == nil {
 			t.Fatalf("malformed body %q accepted as %d grants", body, len(gs))
 		}
-		if st := w.Stats(); st != (Stats{}) {
-			t.Fatalf("malformed body %q moved the counters: %+v", body, st)
+		if st := w.Stats(); st != (Stats{}) || len(reqs) != 1 {
+			t.Fatalf("malformed body %q moved the counters (%+v) or sent %q", body, st, reqs)
 		}
 		return
 	}
@@ -71,10 +74,33 @@ func fuzzLease(t *testing.T, body []byte, max int) {
 	if max > 1 && w.Stats().Batched != int64(len(gs)) {
 		t.Fatalf("batched = %d for %d grants", w.Stats().Batched, len(gs))
 	}
+	refused := 0
 	for _, g := range gs {
-		if g.Lease == "" || g.Key == "" {
-			t.Fatalf("grant without lease or key: %+v", g)
+		if (checkGrant(g) == nil) != runnable(g) {
+			t.Fatalf("checkGrant(%+v) = %v", g, checkGrant(g))
 		}
+		if runnable(g) {
+			continue
+		}
+		refused++
+		reqs = reqs[:0]
+		w.execute(context.Background(), g)
+		want := "POST /api/v1/jobs/" + url.PathEscape(g.Job) + "/units/" + url.PathEscape(g.Key) + "/result"
+		switch {
+		case g.Lease == "":
+			want = ""
+		case g.Job == "" || g.Key == "":
+			want = "DELETE /api/v1/leases/" + url.PathEscape(g.Lease)
+		}
+		if got := strings.Join(reqs, ","); got != want {
+			t.Fatalf("grant %+v handed back as %q, want %q", g, got, want)
+		}
+	}
+	if st := w.Stats(); st.Failed+st.Released != int64(refused) || st.Results+st.Abandoned != 0 {
+		t.Fatalf("%d refused grants counted as %+v", refused, st)
+	}
+	if len(w.pipelines) != 0 {
+		t.Fatalf("a refused grant built a pipeline")
 	}
 }
 

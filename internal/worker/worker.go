@@ -71,10 +71,12 @@ type Options struct {
 // Stats counts a worker's lifetime activity.
 type Stats struct {
 	// Leased counts granted units; Results the ones whose result the
-	// daemon accepted; Failed the ones whose execution errored (the
-	// error was posted, the daemon re-runs them locally); Abandoned the
-	// ones dropped because the lease died under us (410 on heartbeat or
-	// result); Released the ones handed back on graceful shutdown.
+	// daemon accepted; Failed the ones whose execution errored or whose
+	// grant could not run (the error was posted, the daemon re-runs
+	// them locally); Abandoned the ones dropped because the lease died
+	// under us (410 on heartbeat or result); Released the ones handed
+	// back on graceful shutdown, or because their grant named no job or
+	// unit to post an error to.
 	Leased, Results, Failed, Abandoned, Released int64
 	// Batched counts the units among Leased that arrived through a
 	// batched (?max=K, K > 1) lease response.
@@ -299,15 +301,14 @@ func (w *Worker) leaseN(ctx context.Context, max int) ([]*jobserver.Grant, error
 }
 
 // decodeGrants decodes a lease response: one Grant, or with batch a
-// GrantBatch of at least one. Exactly one JSON value is accepted, and
-// every grant must name its lease, job, unit and DfT setting and carry
-// a valid spec, so a malformed body is an error before any unit starts.
+// GrantBatch of at least one. A body that is not exactly one JSON value
+// of that shape is an error before any unit starts; whether each grant
+// can run is checkGrant's question, asked per grant.
 func decodeGrants(r io.Reader, batch bool) ([]*jobserver.Grant, error) {
 	var gs []jobserver.Grant
-	dec := json.NewDecoder(r)
 	if batch {
 		var b jobserver.GrantBatch
-		if err := dec.Decode(&b); err != nil {
+		if err := jobserver.DecodeBody(r, &b); err != nil {
 			return nil, fmt.Errorf("worker: bad grant batch: %w", err)
 		}
 		if len(b.Grants) == 0 {
@@ -316,25 +317,49 @@ func decodeGrants(r io.Reader, batch bool) ([]*jobserver.Grant, error) {
 		gs = b.Grants
 	} else {
 		gs = make([]jobserver.Grant, 1)
-		if err := dec.Decode(&gs[0]); err != nil {
+		if err := jobserver.DecodeBody(r, &gs[0]); err != nil {
 			return nil, fmt.Errorf("worker: bad grant: %w", err)
 		}
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("worker: data after the grant")
-	}
 	out := make([]*jobserver.Grant, len(gs))
 	for i := range gs {
-		g := &gs[i]
-		if g.Lease == "" || g.Job == "" || g.Key == "" || (g.DfT != "pre" && g.DfT != "post") {
-			return nil, fmt.Errorf("worker: grant %d lacks its lease, job, unit or DfT setting", i)
-		}
-		if err := g.Spec.Validate(); err != nil {
-			return nil, fmt.Errorf("worker: grant %d: %w", i, err)
-		}
-		out[i] = g
+		out[i] = &gs[i]
 	}
 	return out, nil
+}
+
+// checkGrant reports why a grant cannot run: it must name its lease,
+// job, unit and DfT setting and carry a valid spec.
+func checkGrant(g *jobserver.Grant) error {
+	if g.Lease == "" || g.Job == "" || g.Key == "" || (g.DfT != "pre" && g.DfT != "post") {
+		return errors.New("worker: grant lacks its lease, job, unit or DfT setting")
+	}
+	if err := g.Spec.Validate(); err != nil {
+		return fmt.Errorf("worker: grant spec: %w", err)
+	}
+	return nil
+}
+
+// refuse hands back a grant that checkGrant rejected, so the daemon
+// re-runs the unit locally at once instead of after the lease TTL: the
+// error is posted as the unit's result where the grant names its job
+// and unit, and the lease is released where it names only the lease.
+func (w *Worker) refuse(ctx context.Context, g *jobserver.Grant, err error) {
+	switch {
+	case g.Lease == "":
+		w.failed.Add(1)
+		w.logf("failed grant %q: %v (no lease to hand back)", g.Key, err)
+	case g.Job == "" || g.Key == "":
+		w.release(g)
+		w.released.Add(1)
+		w.logf("released lease %s: %v", g.Lease, err)
+	case w.postResult(ctx, g, &jobserver.ResultRequest{Lease: g.Lease, Error: err.Error()}):
+		w.failed.Add(1)
+		w.logf("failed %s: %v", g.Key, err)
+	default:
+		w.abandoned.Add(1)
+		w.logf("abandoned %s (result refused)", g.Key)
+	}
 }
 
 // pipeline returns (building and caching if needed) the pipeline of the
@@ -357,6 +382,10 @@ func (w *Worker) pipeline(g *jobserver.Grant) *core.Pipeline {
 // the outcome. Cancellation of ctx (worker shutdown) releases the lease
 // so the daemon re-queues the unit without waiting out the TTL.
 func (w *Worker) execute(ctx context.Context, g *jobserver.Grant) {
+	if err := checkGrant(g); err != nil {
+		w.refuse(ctx, g, err)
+		return
+	}
 	uctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

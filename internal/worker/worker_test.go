@@ -473,3 +473,91 @@ func TestWorkerOptionValidation(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v, %v", w.opts, err)
 	}
 }
+
+// TestBatchRefusesOnlyBadGrants: a grant batch with grants that cannot
+// run among one that can. The bad grants are handed back at once — an
+// error posted where the grant names its job and unit, the lease
+// released where it does not — and the good grant still runs and posts
+// its result.
+func TestBatchRefusesOnlyBadGrants(t *testing.T) {
+	good := jobserver.Grant{Lease: "l-good", Job: "j1", DfT: "pre", Key: "macro/decoder",
+		Fingerprint: "f", TTLMillis: 60000, Spec: testSpec}
+	badDfT := good
+	badDfT.Lease, badDfT.DfT = "l-dft", "sideways"
+	noJob := good
+	noJob.Lease, noJob.Job = "l-nojob", ""
+	batch, _ := json.Marshal(jobserver.GrantBatch{Grants: []jobserver.Grant{badDfT, noJob, good}})
+
+	var (
+		mu       sync.Mutex
+		leases   int
+		results  = map[string]jobserver.ResultRequest{}
+		released []string
+	)
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /api/v1/lease", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		leases++
+		first := leases == 1
+		mu.Unlock()
+		if first {
+			w.Write(batch)
+			return
+		}
+		select { // no more work: park the poll like the daemon does
+		case <-r.Context().Done():
+		case <-time.After(100 * time.Millisecond):
+		}
+		w.WriteHeader(http.StatusNoContent)
+	})
+	mux.HandleFunc("POST /api/v1/jobs/{id}/units/{key}/result", func(w http.ResponseWriter, r *http.Request) {
+		var req jobserver.ResultRequest
+		if err := jobserver.DecodeBody(r.Body, &req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		results[req.Lease] = req
+		mu.Unlock()
+		w.WriteHeader(http.StatusNoContent)
+	})
+	mux.HandleFunc("POST /api/v1/leases/{lease}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	})
+	mux.HandleFunc("DELETE /api/v1/leases/{lease}", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		released = append(released, r.PathValue("lease"))
+		mu.Unlock()
+		w.WriteHeader(http.StatusNoContent)
+	})
+	hs := httptest.NewServer(mux)
+	t.Cleanup(hs.Close)
+
+	w, stop := startWorker(t, Options{Base: hs.URL, ID: "mixed", Slots: 3, Wait: time.Second, Logf: t.Logf})
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		if st := w.Stats(); st.Results+st.Failed+st.Released+st.Abandoned == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("grants not all handled: %+v", w.Stats())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	stop()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if st := w.Stats(); st != (Stats{Leased: 3, Results: 1, Failed: 1, Released: 1, Batched: 3}) {
+		t.Fatalf("stats %+v", st)
+	}
+	if r := results["l-dft"]; r.Error == "" || len(r.Result) != 0 {
+		t.Fatalf("bad-DfT grant posted %+v, want an error", r)
+	}
+	if len(released) != 1 || released[0] != "l-nojob" {
+		t.Fatalf("released %q, want the job-less grant's lease", released)
+	}
+	if r := results["l-good"]; r.Error != "" || len(r.Result) == 0 {
+		t.Fatalf("good grant posted %+v, want its result", r)
+	}
+}

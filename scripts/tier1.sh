@@ -3,7 +3,6 @@
 #
 #	./scripts/tier1.sh           # full pass (includes -race and slow pipeline tests)
 #	SHORT=1 ./scripts/tier1.sh   # faster iteration: -short skips the slow comparisons
-#	FULL=1 ./scripts/tier1.sh    # also checks the full-fidelity run's pinned bytes
 #
 # Stages:
 #   1. gofmt -l        — formatting drift fails the build
@@ -60,13 +59,6 @@
 #                        remote protocol, verify the served bytes are
 #                        again identical to the direct CLI run, and stop
 #                        the workers with SIGTERM (exit 130)
-#  12. full fidelity    — (opt-in: FULL=1) the dotest defaults (seed 1995,
-#                        full-fidelity sprinkles, pre- and post-DfT) must
-#                        write the JSON and .dft pinned in
-#                        scripts/digests.sha256; the quick-scale pins
-#                        cannot see a change that moves only
-#                        full-fidelity results. About 80 s on two
-#                        cores.
 set -eu
 
 fmt=$(gofmt -l .)
@@ -193,14 +185,6 @@ for m in decoder ladder; do
 	pinned "$m.json" "$m.json.dft"
 done
 echo "tier1: parallel and serial RunMacro byte-identical and pinned"
-
-# Full-fidelity pin: the paper-scale run at the default seed, the
-# configuration EXPERIMENTS.md reports.
-if [ -n "${FULL:-}" ]; then
-	"$tmp/dotest" -workers 0 -json "$tmp/full_run.json" >/dev/null
-	pinned full_run.json full_run.json.dft
-	echo "tier1: full-fidelity run pinned"
-fi
 
 # Campaignd smoke: the service path must be byte-identical to the CLI.
 # A job submitted over HTTP runs the same quick configuration as a
