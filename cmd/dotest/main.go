@@ -182,7 +182,7 @@ func main() {
 		if o.macro != "all" {
 			run, err := p.RunMacro(ctx, o.macro, dft)
 			if err != nil {
-				fatal(ctx, err, "")
+				fatal(ctx, err, nil)
 			}
 			printMacro(run)
 			if o.jsonOut != "" {
@@ -197,7 +197,7 @@ func main() {
 			out.Stats.Print(os.Stderr)
 		}
 		if err != nil {
-			fatal(ctx, err, opts.Checkpoint)
+			fatal(ctx, err, opts.Store)
 		}
 		printMacro(run.Macro("comparator"))
 		report.PerMacro(os.Stdout, run)
@@ -228,7 +228,7 @@ func main() {
 func (o *options) campaignOptions(suffix string) campaign.Options {
 	opts := campaign.Options{Workers: o.workers, Resume: o.resume}
 	if o.checkpoint != "" {
-		opts.Checkpoint = o.checkpoint + suffix
+		opts.Store = campaign.FileStore{Path: o.checkpoint + suffix}
 	}
 	if o.verbose {
 		opts.OnUnitDone = func(key string, restored bool) {
@@ -246,12 +246,12 @@ func (o *options) campaignOptions(suffix string) campaign.Options {
 // (exit 130, the conventional SIGINT status) from a pipeline failure.
 // The cancellation branch also covers the race where every unit
 // finished but the signal arrived before the merge: the partial
-// outcome is never reported as a completed run. checkpoint names the
+// outcome is never reported as a completed run. checkpoint is the
 // checkpoint an interrupted run flushed, if any.
-func fatal(ctx context.Context, err error, checkpoint string) {
+func fatal(ctx context.Context, err error, checkpoint campaign.Store) {
 	if ctx.Err() != nil {
-		if checkpoint != "" {
-			log.Printf("interrupted; checkpoint flushed to %s — rerun with -resume", checkpoint)
+		if checkpoint != nil {
+			log.Printf("interrupted; checkpoint flushed to %v — rerun with -resume", checkpoint)
 		}
 		log.Printf("cancelled: %v", err)
 		os.Exit(130)

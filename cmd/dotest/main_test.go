@@ -116,8 +116,10 @@ func analyzeInterruptChild() {
 	cfg := core.QuickConfig()
 	opts := campaign.Options{
 		Workers:    2,
-		Checkpoint: os.Getenv("DOTEST_TEST_CHECKPOINT"),
 		OnUnitDone: func(key string, restored bool) { fmt.Println("unit", key) },
+	}
+	if path := os.Getenv("DOTEST_TEST_CHECKPOINT"); path != "" {
+		opts.Store = campaign.FileStore{Path: path}
 	}
 	fmt.Println("ready")
 	_, _, err := core.RunParallel(ctx, cfg, false, opts)
@@ -312,7 +314,7 @@ func TestInterruptDuringAnalyzeLeavesResumableCheckpoint(t *testing.T) {
 
 	// And a resumed campaign must restore them rather than recompute.
 	run, outc, err := core.RunParallel(context.Background(), core.QuickConfig(), false,
-		campaign.Options{Workers: 2, Checkpoint: ckpt, Resume: true})
+		campaign.Options{Workers: 2, Store: campaign.FileStore{Path: ckpt}, Resume: true})
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}

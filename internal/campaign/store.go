@@ -49,14 +49,13 @@ type Store interface {
 
 // FileStore is the historical single-file checkpoint backend: one
 // atomic-JSON document at a fixed path, holding the checkpoint of
-// exactly one configuration. It is what Options.Checkpoint selects.
+// exactly one configuration: dotest's -checkpoint file.
 type FileStore struct {
 	// Path of the JSON checkpoint file.
 	Path string
 }
 
-// String names the store in engine errors (the checkpoint path, as the
-// pre-Store error messages did).
+// String names the store in engine errors: the checkpoint path.
 func (s FileStore) String() string { return s.Path }
 
 // Load reads the checkpoint; a missing file is not an error (nil

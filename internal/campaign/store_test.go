@@ -220,7 +220,7 @@ func TestDirStoreContention(t *testing.T) {
 // and a wrong-version copy; they run in plain go test.
 func FuzzCheckpointLoad(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "run.ckpt")
-	opts := Options{Workers: 2, Checkpoint: path, Fingerprint: "fuzz-v1", Decode: decodeInt}
+	opts := Options{Workers: 2, Store: FileStore{Path: path}, Fingerprint: "fuzz-v1", Decode: decodeInt}
 	if _, err := Execute(context.Background(), opts, fanoutRoots(2, 2, nil)); err != nil {
 		f.Fatal(err)
 	}

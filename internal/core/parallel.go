@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/spice"
@@ -81,23 +80,33 @@ func Fingerprint(cfg Config, dft bool) string {
 	return fingerprintVersion + "|" + string(data)
 }
 
-// decodeUnit rebuilds a typed unit result from checkpointed JSON.
+// decodeUnit rebuilds a typed unit result from checkpointed JSON. The
+// payload must identify its unit: a discovery result names the key's
+// macro, and a class analysis carries both responses and the key's
+// fault-model variant. A null or empty object is no result at all.
 func decodeUnit(key string, raw json.RawMessage) (any, error) {
-	switch {
-	case strings.HasPrefix(key, keyMacro):
+	macroName, _, nonCat, isClass, err := ParseUnitKey(key)
+	if err != nil {
+		return nil, err
+	}
+	if !isClass {
 		var mr MacroRun
 		if err := json.Unmarshal(raw, &mr); err != nil {
 			return nil, err
 		}
-		return &mr, nil
-	case strings.HasPrefix(key, keyClass):
-		var ca ClassAnalysis
-		if err := json.Unmarshal(raw, &ca); err != nil {
-			return nil, err
+		if mr.Name != macroName {
+			return nil, fmt.Errorf("core: unit %s: result names macro %q", key, mr.Name)
 		}
-		return &ca, nil
+		return &mr, nil
 	}
-	return nil, fmt.Errorf("core: unknown campaign unit key %q", key)
+	var ca ClassAnalysis
+	if err := json.Unmarshal(raw, &ca); err != nil {
+		return nil, err
+	}
+	if ca.Resp == nil || ca.Chip == nil || ca.NonCat != nonCat {
+		return nil, fmt.Errorf("core: unit %s: result is not an analysis of this class and variant", key)
+	}
+	return &ca, nil
 }
 
 // macroUnit builds the discovery unit of one macro; its fanout generates

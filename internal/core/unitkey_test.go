@@ -150,6 +150,37 @@ func TestExecuteUnitBounds(t *testing.T) {
 	}
 }
 
+// TestDecodeUnitIdentifiesItsUnit: a unit result crosses the worker
+// trust boundary and the checkpoint file, so DecodeUnit accepts only a
+// payload that is a result of its own key — never null, an empty
+// object, another macro's discovery or the other variant's analysis.
+func TestDecodeUnitIdentifiesItsUnit(t *testing.T) {
+	const resp = `{"Voltage":0,"Currents":{}}`
+	cases := []struct {
+		key, raw string
+		ok       bool
+	}{
+		{"macro/ladder", `{"Name":"ladder","Count":1}`, true},
+		{"macro/ladder", `null`, false},
+		{"macro/ladder", `{}`, false},
+		{"macro/ladder", `{"Name":"decoder","Count":1}`, false},
+		{"class/ladder/3/cat", `{"NonCat":false,"Resp":` + resp + `,"Chip":` + resp + `}`, true},
+		{"class/ladder/3/noncat", `{"NonCat":true,"Resp":` + resp + `,"Chip":` + resp + `}`, true},
+		{"class/ladder/3/cat", `null`, false},
+		{"class/ladder/3/cat", `{}`, false},
+		{"class/ladder/3/cat", `{"NonCat":false,"Resp":` + resp + `}`, false},
+		{"class/ladder/3/cat", `{"NonCat":false,"Chip":` + resp + `}`, false},
+		{"class/ladder/3/noncat", `{"NonCat":false,"Resp":` + resp + `,"Chip":` + resp + `}`, false},
+		{"class/ladder/3", `{"NonCat":false,"Resp":` + resp + `,"Chip":` + resp + `}`, false},
+	}
+	for _, c := range cases {
+		v, err := DecodeUnit(c.key, []byte(c.raw))
+		if (err == nil) != c.ok {
+			t.Errorf("DecodeUnit(%q, %s) = %v, %v; want ok=%v", c.key, c.raw, v, err, c.ok)
+		}
+	}
+}
+
 // FuzzParseUnitKey: ParseUnitKey never panics, and every key it accepts
 // re-formats (through keyMacro or classKey) to a key that parses to the
 // same components. Unit keys cross the remote-worker trust boundary, so

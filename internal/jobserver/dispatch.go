@@ -146,6 +146,8 @@ type dispatcher struct {
 	waiters []*waiter // FIFO
 	leases  map[string]*lease
 	workers map[string]*workerInfo
+	// swept is when worker last dropped the rows of departed workers.
+	swept time.Time
 }
 
 func newDispatcher(base context.Context, ttl time.Duration, logf func(string, ...any)) *dispatcher {
@@ -162,14 +164,25 @@ func newDispatcher(base context.Context, ttl time.Duration, logf func(string, ..
 }
 
 // worker returns (creating if needed) the bookkeeping row of id, and
-// stamps it seen. Callers hold d.mu.
+// stamps it seen. At most once per TTL it first drops the rows of
+// departed workers: no active lease, no parked poll, and unseen for
+// longer than the TTL. Callers hold d.mu.
 func (d *dispatcher) worker(id string) *workerInfo {
+	now := time.Now()
+	if now.Sub(d.swept) > d.ttl {
+		d.swept = now
+		for wid, w := range d.workers {
+			if len(w.active) == 0 && w.waiting == 0 && now.Sub(w.lastSeen) > d.ttl {
+				delete(d.workers, wid)
+			}
+		}
+	}
 	w, ok := d.workers[id]
 	if !ok {
 		w = &workerInfo{id: id, active: map[string]*lease{}}
 		d.workers[id] = w
 	}
-	w.lastSeen = time.Now()
+	w.lastSeen = now
 	return w
 }
 

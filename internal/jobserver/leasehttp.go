@@ -44,7 +44,7 @@ type ResultRequest struct {
 	Lease string `json:"lease"`
 	// Result is the unit's marshalled value — the exact bytes
 	// core.ExecuteUnit's result marshals to, merged daemon-side through
-	// the restored-unit decode path.
+	// the restored-unit decode path. A JSON null is no payload.
 	Result json.RawMessage `json:"result,omitempty"`
 	// Error reports a failed unit; the daemon re-runs it locally.
 	Error string `json:"error,omitempty"`
@@ -170,7 +170,7 @@ func (s *Server) handleUnitResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "result names no lease")
 		return
 	}
-	if req.Error == "" && len(req.Result) == 0 {
+	if req.Error == "" && (len(req.Result) == 0 || string(req.Result) == "null") {
 		writeError(w, http.StatusBadRequest, "result carries neither payload nor error")
 		return
 	}
@@ -207,7 +207,9 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleWorkers lists the worker registry.
+// handleWorkers lists the worker registry. A worker's row is dropped
+// once it holds no lease and no parked poll and has gone unseen for
+// longer than the lease TTL.
 func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	if s.disp == nil {
 		writeJSON(w, http.StatusOK, []WorkerStatus{})

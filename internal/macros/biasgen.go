@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/layout"
-	"repro/internal/process"
 	"repro/internal/signature"
 )
 
@@ -101,6 +100,3 @@ func (m *BiasgenMacro) Layout(dft bool) *layout.Cell {
 	b.C.MarkPort("vbn1", "vbn2", "vbp1", "vbp2", "vddb", "vss")
 	return b.C
 }
-
-// ensure process import is retained for future layout extensions.
-var _ = process.Metal1

@@ -46,9 +46,9 @@ func (m *ClockgenMacro) buildClockgenCircuit(phis [3]float64, v Variation) *netl
 	return b
 }
 
-// buildClockgenInto runs the construction against the given builder — a
-// plain builder for a simulation circuit, a recording one for the
-// rebind binding (one construction path, so the two cannot drift).
+// buildClockgenInto runs the construction against the given builder. The
+// same path builds a new engine's circuit and the circuit a pooled
+// engine is revalued from, so the two cannot drift.
 func (m *ClockgenMacro) buildClockgenInto(b *netlist.Builder, phis [3]float64, v Variation) {
 	vdd := VDD * v.VddScale
 	b.Vsrc("vddd", "vddd", "0", netlist.DC(vdd))

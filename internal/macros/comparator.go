@@ -164,9 +164,8 @@ func (m *ComparatorMacro) buildComparatorCircuit(vin float64, opt RespondOpts) *
 }
 
 // buildComparatorInto runs the testbench construction against the given
-// builder — a plain builder for a simulation circuit, a recording one
-// (netlist.NewRecorder) for the rebind binding. One construction path
-// serves both, so a recorded binding cannot drift from a built circuit.
+// builder. The same path builds a new engine's circuit and the circuit
+// a pooled engine is revalued from, so the two cannot drift.
 func (m *ComparatorMacro) buildComparatorInto(b *netlist.Builder, vin float64, opt RespondOpts) {
 	v := opt.Var
 	vdd := VDD * v.VddScale

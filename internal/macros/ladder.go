@@ -50,9 +50,9 @@ func (l *LadderMacro) buildLadderCircuit(v Variation) *netlist.Builder {
 	return b
 }
 
-// buildLadderInto runs the construction against the given builder — a
-// plain builder for a simulation circuit, a recording one for the
-// rebind binding (one construction path, so the two cannot drift).
+// buildLadderInto runs the construction against the given builder. The
+// same path builds a new engine's circuit and the circuit a pooled
+// engine is revalued from, so the two cannot drift.
 func (l *LadderMacro) buildLadderInto(b *netlist.Builder, v Variation) {
 	segs, rseg := l.Veh.LadderSegments(), l.Veh.RSeg()
 	b.Vsrc("vrefhi", tapName(segs), "0", netlist.DC(VRefHi))

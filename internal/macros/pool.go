@@ -44,9 +44,9 @@ type pooledEngine struct {
 // engine per worker per key. Reuse is bit-identical to fresh
 // construction: every analysis restarts Newton from the zero vector,
 // and a checkout either finds the engine bound to its own Variation or
-// rebinds it to exactly the values a fresh build would stamp (the
-// binding is recorded by running the same builder; see
-// netlist.Binding).
+// revalues it from a fresh build of the same testbench (see
+// netlist.Circuit.Revalue, which also checks that the build matches the
+// pooled topology).
 //
 // A nil *EnginePool disables pooling (every acquire misses and every
 // release discards), so callers thread it unconditionally.

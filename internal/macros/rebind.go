@@ -1,8 +1,6 @@
 package macros
 
 import (
-	"fmt"
-
 	"repro/internal/faults"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -14,17 +12,18 @@ import (
 // through checkoutEngine, once, and drives all of the session's stimuli
 // through it. The fallback ladder is:
 //
-//  1. fault-free, pool hit          → CtrRebindHits (no netlist build,
-//     no stamp recompile; revalued only when the pooled engine is
-//     bound to another Variation)
+//  1. fault-free, pool hit          → CtrRebindHits (no stamp
+//     recompile; when the pooled engine is bound to another Variation,
+//     the testbench is built once more and its values are copied in)
 //  2. fault-free, pool miss         → fresh build, pooled on release
 //     → CtrFullRebuilds
 //  3. faulty                        → fresh build + injection, lives
 //     only as long as its session  → CtrFullRebuilds
 //
-// A failed rebind (binding does not cover the pooled circuit, unknown
-// label, kind mismatch) discards the pooled engine and falls to 2 —
-// a structural mismatch can never be silently served.
+// A failed revalue (the fresh build differs from the pooled circuit in
+// a count, a kind, a label, a terminal or a MOSFET's geometry) discards
+// the pooled engine and falls to 2 — a structural mismatch can never be
+// silently served.
 
 // engineCheckout describes how one macro obtains the engine of one
 // analysis session.
@@ -41,8 +40,8 @@ type engineCheckout struct {
 	f  *faults.Fault
 	io faults.InjectOptions
 	// into constructs the fault-free testbench at the checkout's
-	// Variation: against a plain builder for a fresh engine, or a
-	// recording one for the binding that revalues a pooled engine.
+	// Variation into a fresh builder. Its circuit becomes a new engine,
+	// or the source of the values a pooled engine is revalued from.
 	into func(*netlist.Builder)
 }
 
@@ -55,7 +54,7 @@ func checkoutEngine(opt RespondOpts, co engineCheckout) (*spice.Engine, func(), 
 	if co.f == nil {
 		if pe, ok := opt.Pool.acquire(co.key); ok {
 			pe.eng.SetMetrics(opt.Metrics)
-			// A failed — possibly partial — rebind means this engine
+			// A failed — possibly partial — revalue means this engine
 			// cannot be proven to match the checkout: discard it and
 			// rebuild below.
 			if err := revalueEngine(pe, opt.Var, co.into); err == nil {
@@ -82,16 +81,13 @@ func checkoutEngine(opt RespondOpts, co engineCheckout) (*spice.Engine, func(), 
 }
 
 // revalueEngine binds a pooled fault-free engine to Variation v: a
-// no-op when it is already bound to v, else a Revalue with the binding
-// recorded by running into. Any error means "discard this engine".
+// no-op when it is already bound to v, else a Revalue from a fresh
+// build by into. Any error means "discard this engine".
 func revalueEngine(pe pooledEngine, v Variation, into func(*netlist.Builder)) error {
 	if pe.v == v {
 		return nil
 	}
-	bind := &netlist.Binding{}
-	into(netlist.NewRecorder(bind))
-	if !bind.Covers(pe.eng.Ckt) {
-		return fmt.Errorf("macros: binding does not cover pooled circuit")
-	}
-	return pe.eng.Revalue(bind)
+	b := netlist.NewBuilder()
+	into(b)
+	return pe.eng.Revalue(b.C)
 }

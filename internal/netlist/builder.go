@@ -4,25 +4,10 @@ package netlist
 // macro library. Node names are plain strings; "0" is ground.
 type Builder struct {
 	C *Circuit
-
-	// Rec, when non-nil, records one value slot per element created —
-	// the complete Binding of this build. Running a macro's circuit
-	// builder with Rec attached and discarding the circuit yields the
-	// exact value set a fresh build would stamp, which is what the
-	// rebind layer applies to an already-compiled engine of the same
-	// topology: the recorded values cannot drift from the built values
-	// because they are the same values.
-	Rec *Binding
 }
 
 // NewBuilder returns a builder over a fresh circuit.
 func NewBuilder() *Builder { return &Builder{C: New()} }
-
-// NewRecorder returns a builder that records the build's Binding in
-// rec. The circuit is still fully built (recording must see the same
-// construction path, and callers may want it for structure checks);
-// the value of the run is the recorded binding.
-func NewRecorder(rec *Binding) *Builder { return &Builder{C: New(), Rec: rec} }
 
 // N resolves (creating if needed) a node by name.
 func (b *Builder) N(name string) NodeID { return b.C.Node(name) }
@@ -31,9 +16,6 @@ func (b *Builder) N(name string) NodeID { return b.C.Node(name) }
 func (b *Builder) R(name, a, bn string, ohms float64) *Resistor {
 	r := &Resistor{Label: name, A: b.N(a), B: b.N(bn), R: ohms}
 	b.C.Add(r)
-	if b.Rec != nil {
-		b.Rec.SetR(name, ohms)
-	}
 	return r
 }
 
@@ -41,9 +23,6 @@ func (b *Builder) R(name, a, bn string, ohms float64) *Resistor {
 func (b *Builder) Cap(name, a, bn string, farads float64) *Capacitor {
 	c := &Capacitor{Label: name, A: b.N(a), B: b.N(bn), C: farads}
 	b.C.Add(c)
-	if b.Rec != nil {
-		b.Rec.SetC(name, farads)
-	}
 	return c
 }
 
@@ -52,9 +31,6 @@ func (b *Builder) Cap(name, a, bn string, farads float64) *Capacitor {
 func (b *Builder) Vsrc(name, p, n string, w Waveform) *VSource {
 	v := &VSource{Label: name, P: b.N(p), N: b.N(n), W: w}
 	b.C.Add(v)
-	if b.Rec != nil {
-		b.Rec.SetWave(name, w)
-	}
 	return v
 }
 
@@ -62,9 +38,6 @@ func (b *Builder) Vsrc(name, p, n string, w Waveform) *VSource {
 func (b *Builder) Isrc(name, p, n string, w Waveform) *ISource {
 	i := &ISource{Label: name, P: b.N(p), N: b.N(n), W: w}
 	b.C.Add(i)
-	if b.Rec != nil {
-		b.Rec.SetWave(name, w)
-	}
 	return i
 }
 
@@ -93,13 +66,6 @@ func (b *Builder) MOS(name, d, g, s, bulk string, wUm, lUm float64, model MOSMod
 	b.C.Add(&Capacitor{Label: name + ".cgd", A: m.G, B: m.D, C: cg})
 	b.C.Add(&Capacitor{Label: name + ".cdb", A: m.D, B: m.B, C: cj})
 	b.C.Add(&Capacitor{Label: name + ".csb", A: m.S, B: m.B, C: cj})
-	if b.Rec != nil {
-		b.Rec.SetModel(name, model)
-		b.Rec.SetC(name+".cgs", cg)
-		b.Rec.SetC(name+".cgd", cg)
-		b.Rec.SetC(name+".cdb", cj)
-		b.Rec.SetC(name+".csb", cj)
-	}
 	return m
 }
 

@@ -27,10 +27,10 @@ type Circuit struct {
 	byName map[string]NodeID
 	Elems  []Element
 
-	// elemIdx lazily indexes Elems by name for rebinding and lookups;
-	// idxLen is how many of Elems it has absorbed. The index is only
-	// materialised on first use, so circuits that are built once and
-	// never rebound pay nothing.
+	// elemIdx lazily indexes Elems by name for Element; idxLen is how
+	// many of Elems it has absorbed. The index is only materialised on
+	// first use, so circuits that are never searched by name pay
+	// nothing.
 	elemIdx map[string]Element
 	idxLen  int
 }
@@ -69,16 +69,11 @@ func (c *Circuit) NumNodes() int { return len(c.names) }
 // Add appends an element.
 func (c *Circuit) Add(e Element) { c.Elems = append(c.Elems, e) }
 
-// Element returns the element with the given name, or nil.
+// Element returns the element with the given name, or nil. It looks
+// the name up through the lazy index, extending it over any elements
+// appended since the last lookup (fault injection adds elements after
+// construction). Duplicate labels keep the first occurrence.
 func (c *Circuit) Element(name string) Element {
-	return c.elemByName(name)
-}
-
-// elemByName looks an element up through the lazy index, extending it
-// over any elements appended since the last lookup (fault injection
-// adds elements after construction). Duplicate labels keep the first
-// occurrence, matching the linear scan this replaced.
-func (c *Circuit) elemByName(name string) Element {
 	if c.idxLen < len(c.Elems) {
 		if c.elemIdx == nil {
 			c.elemIdx = make(map[string]Element, len(c.Elems))

@@ -248,14 +248,14 @@ func (e *Engine) SetMetrics(m *obs.Metrics) {
 }
 
 // RetuneVSource replaces the waveform of the named voltage source on a
-// live engine. A VSource's matrix stamps are its value-independent ±1
-// aux couplings, so the recorded A-side replay stays valid, and the
-// source value reaches only the right-hand side, which every solve
-// re-records — analyses after a retune are bit-identical to those of a
-// fresh engine built with the new waveform. (Mutating any other
-// value-bearing element kind — resistors, capacitors, MOS models —
-// must go through Revalue, which drops the A-side recording when one
-// of those values changes.)
+// live engine: the one way to move a stimulus between analyses. A
+// VSource's matrix stamps are its value-independent ±1 aux couplings,
+// so the recorded A-side replay stays valid, and the source value
+// reaches only the right-hand side, which every solve re-records —
+// analyses after a retune are bit-identical to those of a fresh engine
+// built with the new waveform. (Every other value moves through
+// Revalue, which drops the A-side recording when a resistor, capacitor
+// or MOS model changes.)
 func (e *Engine) RetuneVSource(name string, w netlist.Waveform) error {
 	el := e.Ckt.Element(name)
 	if el == nil {
@@ -269,26 +269,28 @@ func (e *Engine) RetuneVSource(name string, w netlist.Waveform) error {
 	return nil
 }
 
-// Revalue applies a parameter binding to the engine's circuit in place:
-// the compile-once/revalue-many entry point. The topology is untouched,
-// so every compiled artifact is retained — node and aux numbering, the
-// per-mode stamp programs, the structural sparsity patterns and the
-// sparse symbolic analyses (the cached elimination is pivot-verified
-// per factorisation with a bit-identical dense continuation, so revalued
-// matrices are automatically safe on the cached structure). Only when
-// an A-side value actually changed (bitwise) is the A-side stamp
-// recording dropped; a B-side-only rebind — retuning sources between
-// ramp slices — keeps it, generalising the RetuneVSource rule.
+// Revalue copies the element values of src, a fresh build of the
+// engine's topology, into the engine's circuit in place
+// (netlist.Circuit.Revalue checks the topology): the
+// compile-once/revalue-many entry point. Every compiled artifact is
+// retained — node and aux numbering, the per-mode stamp programs, the
+// structural sparsity patterns and the sparse symbolic analyses (the
+// cached elimination is pivot-verified per factorisation with a
+// bit-identical dense continuation, so revalued matrices are
+// automatically safe on the cached structure). Only when an A-side
+// value actually changed (bitwise) is the A-side stamp recording
+// dropped; a revalue that moves only source waveforms keeps it, by the
+// RetuneVSource rule.
 //
 // After a successful Revalue the engine's analyses are bit-identical to
-// those of a freshly built engine whose builder produced the bound
-// values: the next solve re-records the linear stamps from the new
-// element fields through the same code in the same element order.
+// those of an engine built from src: the next solve re-records the
+// linear stamps from the new element fields through the same code in
+// the same element order.
 //
 // On error the circuit may be partially revalued; the caller must
 // discard the engine (the macro layer falls back to a full rebuild).
-func (e *Engine) Revalue(b *netlist.Binding) error {
-	aChanged, err := e.Ckt.Rebind(b)
+func (e *Engine) Revalue(src *netlist.Circuit) error {
+	aChanged, err := e.Ckt.Revalue(src)
 	if err != nil {
 		return err
 	}
