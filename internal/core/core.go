@@ -266,51 +266,23 @@ func (p *Pipeline) MacroNames() []string {
 	return out
 }
 
-// partsEnv carries the resources one fault-free parts simulation runs
-// with: the engine pool and baseline cache to go through (the good-space
-// compile owns a private pair — see goodspace.go — while the nominal
-// cache uses the pipeline's shared pair) and how many of the independent
-// macro transients may run concurrently.
-type partsEnv struct {
-	pool *macros.EnginePool
-	base *macros.Baselines
-	// fanout bounds the concurrent macro simulations (<= 1 is the
-	// serial loop).
-	fanout int
-}
-
-// sharedEnv is the pipeline-owned serial environment.
-func (p *Pipeline) sharedEnv() partsEnv {
-	return partsEnv{pool: p.pool, base: p.base}
-}
-
-// partsFor simulates the fault-free response of the chip-composition
-// macros under one variation. The four macros are independent circuits,
-// so env.fanout > 1 spreads them over a bounded goroutine group; the
-// assembled map is identical either way (each macro's simulation is
-// deterministic and keyed by name).
-func (p *Pipeline) partsFor(ctx context.Context, v macros.Variation, dft bool, currentsOnly bool, met *obs.Metrics, env partsEnv) (map[string]*signature.Response, error) {
+// partsFor simulates the currents-only fault-free response of the
+// chip-composition macros under one variation, through pool.
+func (p *Pipeline) partsFor(ctx context.Context, v macros.Variation, dft bool, met *obs.Metrics, pool *macros.EnginePool) (map[string]*signature.Response, error) {
 	opt := macros.RespondOpts{
-		Var: v, DfT: dft, CurrentsOnly: currentsOnly,
-		Obs: p.Obs, Metrics: met,
-		Pool: env.pool, Base: env.base,
+		Var: v, DfT: dft, CurrentsOnly: true,
+		Obs: p.Obs, Metrics: met, Pool: pool,
 	}
-	ms := []macros.Macro{p.cmp, p.ladder, p.clock, p.decoder}
-	resps := make([]*signature.Response, len(ms))
-	err := forEach(ctx, len(ms), env.fanout, func(ctx context.Context, i int) error {
-		resp, err := ms[i].Respond(ctx, nil, opt)
-		if err != nil && !spice.IsCancelled(err) {
-			return fmt.Errorf("core: nominal %s: %w", ms[i].Name(), err)
+	parts := make(map[string]*signature.Response, 4)
+	for _, m := range []macros.Macro{p.cmp, p.ladder, p.clock, p.decoder} {
+		resp, err := m.Respond(ctx, nil, opt)
+		if err != nil {
+			if !spice.IsCancelled(err) {
+				err = fmt.Errorf("core: nominal %s: %w", m.Name(), err)
+			}
+			return nil, err
 		}
-		resps[i] = resp
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	parts := make(map[string]*signature.Response, len(ms))
-	for i, m := range ms {
-		parts[m.Name()] = resps[i]
+		parts[m.Name()] = resp
 	}
 	return parts, nil
 }
@@ -406,7 +378,7 @@ func (p *Pipeline) GoodSpace(ctx context.Context, dft bool) (*signature.GoodSpac
 // nominals returns (and caches) the nominal-variation fault-free parts.
 func (p *Pipeline) nominals(ctx context.Context, dft bool) (map[string]*signature.Response, error) {
 	parts, _, err := p.nomParts.Do(ctx, dft, func() (map[string]*signature.Response, error) {
-		return p.partsFor(ctx, macros.Nominal(), dft, true, nil, p.sharedEnv())
+		return p.partsFor(ctx, macros.Nominal(), dft, nil, p.pool)
 	})
 	return parts, err
 }

@@ -10,15 +10,15 @@ import (
 
 // forEach calls fn for every index in [0, n) on at most workers
 // goroutines (<= 1 is a strictly serial, in-order loop). It is the
-// fan-out inside one unit of work — the good-space dies (goodSamples)
-// and a die's macro transients (partsFor); the units themselves are
-// scheduled by the campaign engine (see execute). Workers claim
-// indexes from a shared counter, so which goroutine runs which index is
-// schedule-dependent; callers make the result invariant by writing index
-// i's output only to slot i. The first failure cancels the group's
-// context, and a real failure is returned ahead of the cancellations it
-// caused in the other workers. Cancelling ctx aborts the group in
-// bounded time: fn sees the cancellation, and no new index is claimed.
+// fan-out inside one unit of work, the good-space dies (goodSamples);
+// the units themselves are scheduled by the campaign engine (see
+// execute). Workers claim indexes from a shared counter, so which
+// goroutine runs which index is schedule-dependent; callers make the
+// result invariant by writing index i's output only to slot i. The
+// first failure cancels the group's context, and a real failure is
+// returned ahead of the cancellations it caused in the other workers.
+// Cancelling ctx aborts the group in bounded time: fn sees the
+// cancellation, and no new index is claimed.
 func forEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	if workers > n {
 		workers = n

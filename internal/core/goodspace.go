@@ -9,17 +9,16 @@
 // index order — exactly the slice the serial loop would have produced,
 // so signature.Compile sees bit-identical input for any worker count.
 //
-// Pool ownership rules: the compile owns a private EnginePool and
-// Baselines pair, shared by its die workers (both are safe for
-// concurrent checkouts). The per-die variations never repeat, so routing
-// them through the pipeline's shared caches would only flood those with
-// engines and baselines no later analysis can ever hit; a private pool
-// still gives the reuse that matters (the comparator's lo/hi transients
-// share one engine, later dies revalue earlier dies' engines), and it is
-// dropped when the compile ends. Within one die, the four
-// chip-composition macros are independent circuits; when the worker
-// group has more workers than dies the surplus fans out those macro
-// transients (partsFor's env.fanout).
+// Pool ownership: the compile owns a private EnginePool, shared by its
+// die workers (it is safe for concurrent checkouts) and dropped when the
+// compile ends. It still gives the reuse that matters — the
+// comparator's lo/hi transients share one engine, later dies revalue
+// earlier dies' engines — while the per-die variations, which never
+// repeat, stay out of the pipeline's pool: running the dies on that pool
+// kept their engines alive for the whole run and raised the `decoder`
+// benchmark's peak RSS from 35-38 MB to 44-45 MB. The dies run
+// currents-only, which reads no baseline, so the compile needs no
+// Baselines of its own.
 package core
 
 import (
@@ -56,12 +55,12 @@ func (p *Pipeline) compileGoodSpace(ctx context.Context, dft bool) (*signature.G
 	return signature.Compile(samples, p.Cfg.NSigma, p.Cfg.FloorA), nil
 }
 
-// goodDie simulates Monte Carlo die i under env and returns its
+// goodDie simulates Monte Carlo die i through pool and returns its
 // chip-level fault-free response. The die's span carries a private
 // counter block so its deltas attribute only this die's work even when
 // dies run concurrently; the block is merged into the stage-level met
 // before returning.
-func (p *Pipeline) goodDie(ctx context.Context, i int, dft bool, env partsEnv, met *obs.Metrics) (*signature.Response, error) {
+func (p *Pipeline) goodDie(ctx context.Context, i int, dft bool, pool *macros.EnginePool, met *obs.Metrics) (*signature.Response, error) {
 	dieMet := met
 	if p.Obs != nil {
 		dieMet = &obs.Metrics{}
@@ -71,7 +70,7 @@ func (p *Pipeline) goodDie(ctx context.Context, i int, dft bool, env partsEnv, m
 	defer sp.End()
 	rng := rand.New(rand.NewSource(StreamSeed(p.Cfg.Seed, "goodspace", strconv.Itoa(i))))
 	v := macros.Draw(rng)
-	parts, err := p.partsFor(ctx, v, dft, true, dieMet, env)
+	parts, err := p.partsFor(ctx, v, dft, dieMet, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -86,18 +85,11 @@ func (p *Pipeline) goodDie(ctx context.Context, i int, dft bool, env partsEnv, m
 func (p *Pipeline) goodSamples(ctx context.Context, dft bool, met *obs.Metrics) ([]*signature.Response, error) {
 	n := p.Cfg.MCSamples
 	samples := make([]*signature.Response, n)
-	workers := p.workers()
-	// Surplus workers beyond the die count fan out the four macro
-	// transients inside each die instead of idling.
-	fanout := 1
-	if n > 0 && workers > n {
-		fanout = min((workers+n-1)/n, 4)
-	}
-	// The pool/baseline pair is private to the compile, never the
-	// pipeline's shared caches — see the package comment.
-	env := partsEnv{pool: macros.NewEnginePool(), base: macros.NewBaselines(), fanout: fanout}
-	err := forEach(ctx, n, workers, func(ctx context.Context, i int) error {
-		r, err := p.goodDie(ctx, i, dft, env, met)
+	// The pool is private to the compile, never the pipeline's — see
+	// the package comment.
+	pool := macros.NewEnginePool()
+	err := forEach(ctx, n, p.workers(), func(ctx context.Context, i int) error {
+		r, err := p.goodDie(ctx, i, dft, pool, met)
 		samples[i] = r
 		return err
 	})

@@ -17,7 +17,7 @@ import (
 )
 
 // goodSpaceTestCfg trims the Monte Carlo to 6 dies so the 9-worker case
-// exercises the surplus-worker macro fan-out path (workers > dies).
+// also covers a die group wider than the die count (workers > dies).
 func goodSpaceTestCfg() core.Config {
 	cfg := core.QuickConfig()
 	cfg.Defects = 1200

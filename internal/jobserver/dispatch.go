@@ -64,9 +64,9 @@ type leaseResult struct {
 	errMsg string
 }
 
-// Grant is the wire form of a granted lease (the POST .../lease body on
-// success): everything a worker needs to execute the unit from scratch
-// — the full job spec plus the unit key and DfT setting.
+// Grant is the wire form of one granted lease: everything a worker
+// needs to execute the unit from scratch — the full job spec plus the
+// unit key and DfT setting.
 type Grant struct {
 	Lease       string       `json:"lease"`
 	Job         string       `json:"job"`
@@ -77,8 +77,8 @@ type Grant struct {
 	Spec        core.JobSpec `json:"spec"`
 }
 
-// GrantBatch is the wire form of a batched lease response (?max=K for
-// K > 1): up to K independent grants collected into one round-trip.
+// GrantBatch is the wire form of every lease answer (the POST .../lease
+// body on success): up to ?max=K independent grants in one round-trip.
 // Each grant is its own lease — heartbeats, results and expiry stay
 // strictly per-unit.
 type GrantBatch struct {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // Handler returns the server's HTTP API:
@@ -180,15 +179,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	snapshot, events, cancelSub := j.subscribe(64)
-	defer cancelSub()
-	var spans *obs.StreamSub
-	spanC := (<-chan obs.StreamEvent)(nil)
+	// A span watcher gets room for a burst of spans on top of the
+	// progress events.
+	buf := 64
 	if withSpans {
-		spans = j.streamer.Subscribe(256)
-		defer spans.Close()
-		spanC = spans.C()
+		buf += 256
 	}
+	snapshot, events, cancelSub := j.subscribe(buf, withSpans)
+	defer cancelSub()
 	for _, ev := range snapshot {
 		if !write(ev) {
 			return
@@ -197,24 +195,24 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Span timestamps are relative to the first span this watcher sees —
 	// the stream carries durations and ordering, not wall-clock state.
 	var epoch time.Time
-	haveEpoch := false
+	// tail writes one published event and reports whether the stream
+	// goes on: it ends on a write error or the terminal state.
+	tail := func(ev Event) bool {
+		if ev.Type == "span" {
+			if epoch.IsZero() {
+				epoch = ev.rec.Start
+			}
+			wire := ev.rec.Wire(epoch)
+			ev.Span = &wire
+		}
+		return write(ev) && (ev.Type != "state" || ev.State == StateRunning)
+	}
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		case ev := <-events:
-			if !write(ev) {
-				return
-			}
-			if ev.Type == "state" && ev.State != StateRunning {
-				return // terminal state reached the tail directly
-			}
-		case sev := <-spanC:
-			if !haveEpoch {
-				epoch, haveEpoch = sev.Rec.Start, true
-			}
-			wire := sev.Rec.Wire(epoch)
-			if !write(Event{Type: "span", Job: j.ID(), DfT: core.DfTLabel(sev.Rec.DfT), Span: &wire}) {
+			if !tail(ev) {
 				return
 			}
 		case <-j.Done():
@@ -225,10 +223,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			for {
 				select {
 				case ev := <-events:
-					if !write(ev) {
-						return
-					}
-					if ev.Type == "state" && ev.State != StateRunning {
+					if !tail(ev) {
 						return
 					}
 					continue

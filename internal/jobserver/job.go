@@ -44,6 +44,10 @@ type Event struct {
 	// span in the JSONL trace wire form, timed from the first span the
 	// watcher saw.
 	Span *obs.WireRecord `json:"span,omitempty"`
+
+	// rec is the span a "span" event carries until the watcher's
+	// handler times it into Span.
+	rec obs.Record
 }
 
 // Status is a job's queryable summary (the GET /api/v1/jobs/{id} body).
@@ -67,10 +71,6 @@ type Job struct {
 	srv    *Server
 	cancel context.CancelFunc
 
-	// streamer receives every methodology-stage span of the run; SSE
-	// watchers subscribe to it for "span" events.
-	streamer *obs.Streamer
-
 	// done closes when the job reaches a terminal state. Watchers and
 	// result waiters select on it.
 	done chan struct{}
@@ -81,7 +81,7 @@ type Job struct {
 	submits  int
 	progress map[string]campaign.Progress // latest counters per DfT label
 	results  map[string][]byte            // report.JSON bytes per DfT label
-	subs     map[chan Event]struct{}
+	subs     map[chan Event]bool          // watcher → whether it takes spans
 }
 
 // newJob builds a job in StateRunning; the caller launches run().
@@ -91,13 +91,12 @@ func newJob(s *Server, id, fp string, spec core.JobSpec) *Job {
 		fp:       fp,
 		spec:     spec,
 		srv:      s,
-		streamer: obs.NewStreamer(),
 		done:     make(chan struct{}),
 		state:    StateRunning,
 		submits:  1,
 		progress: map[string]campaign.Progress{},
 		results:  map[string][]byte{},
-		subs:     map[chan Event]struct{}{},
+		subs:     map[chan Event]bool{},
 	}
 }
 
@@ -174,8 +173,9 @@ func (j *Job) Result(label string) ([]byte, bool) {
 // Publishing never blocks: a watcher that stops draining has events
 // dropped, and the terminal state is re-synthesised by the HTTP handler
 // from job state, so a slow or disconnected client can neither stall
-// nor cancel the run.
-func (j *Job) subscribe(buf int) (snapshot []Event, ch chan Event, cancelSub func()) {
+// nor cancel the run. A watcher subscribed without spans never has
+// "span" events queued ahead of its progress.
+func (j *Job) subscribe(buf int, spans bool) (snapshot []Event, ch chan Event, cancelSub func()) {
 	if buf < 1 {
 		buf = 1
 	}
@@ -190,7 +190,7 @@ func (j *Job) subscribe(buf int) (snapshot []Event, ch chan Event, cancelSub fun
 	for _, label := range orderedLabels(j.results) {
 		snapshot = append(snapshot, Event{Type: "result", Job: j.id, DfT: label})
 	}
-	j.subs[ch] = struct{}{}
+	j.subs[ch] = spans
 	return snapshot, ch, func() {
 		j.mu.Lock()
 		delete(j.subs, ch)
@@ -208,16 +208,27 @@ func orderedLabels[V any](m map[string]V) []string {
 	return out
 }
 
-// publish fans an event out to every subscriber without blocking.
+// publish fans an event out to every subscriber without blocking;
+// "span" events go only to the watchers that take spans.
 func (j *Job) publish(ev Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for ch := range j.subs {
+	for ch, spans := range j.subs {
+		if ev.Type == "span" && !spans {
+			continue
+		}
 		select {
 		case ch <- ev:
 		default:
 		}
 	}
+}
+
+// emitSpan is the run observer's span sink: it publishes a copy of the
+// finished span, since a sink must not keep the record it is handed.
+// With no watcher it costs one lock and allocates nothing.
+func (j *Job) emitSpan(r *obs.Record) {
+	j.publish(Event{Type: "span", Job: j.id, DfT: core.DfTLabel(r.DfT), rec: *r})
 }
 
 // setProgress records and publishes one progress tick.
@@ -271,7 +282,7 @@ func (j *Job) run(ctx context.Context) {
 	for _, dft := range j.spec.DfTs() {
 		label := core.DfTLabel(dft)
 		p := core.NewPipeline(cfg)
-		p.Obs = obs.New(obs.NewAgg(), j.streamer)
+		p.Obs = obs.New(obs.NewAgg(), obs.SinkFunc(j.emitSpan))
 		// The good-space Monte Carlo stays on the local budget; only the
 		// campaign pool gets the remote surplus below.
 		p.Workers = j.workers()

@@ -13,7 +13,7 @@ import (
 //
 //	POST   /api/v1/lease[?max=K]                  lease the next unit(s)
 //	                                              of any job (long-poll;
-//	                                              K>1 batches grants)
+//	                                              up to K grants)
 //	POST   /api/v1/jobs/{id}/lease[?max=K]        lease from one job
 //	POST   /api/v1/jobs/{id}/units/{key}/result   post a leased unit's
 //	                                              outcome
@@ -71,10 +71,8 @@ const maxLeaseBatch = 64
 
 // handleLease is the long-poll: park until a unit is granted, the wait
 // elapses (204), or the server shuts down (503). With an {id} path
-// segment the lease is scoped to that job. ?max=K (K > 1) batches up
-// to K grants into the response ({"grants":[...]}); without it the
-// wire shape is the original single Grant object, so old workers keep
-// working unchanged.
+// segment the lease is scoped to that job. The answer is always a
+// GrantBatch ({"grants":[...]}) of up to ?max=K grants (default 1).
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if s.disp == nil {
 		writeError(w, http.StatusServiceUnavailable, "remote dispatch is disabled")
@@ -145,10 +143,6 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(grants) == 0 {
 		writeError(w, http.StatusInternalServerError, "jobs vanished under %d leases", len(leases))
-		return
-	}
-	if max == 1 {
-		writeJSON(w, http.StatusOK, grants[0])
 		return
 	}
 	writeJSON(w, http.StatusOK, GrantBatch{Grants: grants})

@@ -167,3 +167,26 @@ func TestAggConcurrent(t *testing.T) {
 		t.Fatalf("aggregate = %+v, want 400 spans / 400 iters", st)
 	}
 }
+
+// TestWireRecordMatchesJSONL: the exported wire form carries the same
+// fields the JSONL trace always wrote — zero counters elided, times in
+// microseconds from the epoch.
+func TestWireRecordMatchesJSONL(t *testing.T) {
+	epoch := time.Unix(100, 0)
+	r := Record{
+		Stage: StageFaultSim, Macro: "comparator", Class: "short/1", DfT: true,
+		Start: epoch.Add(250 * time.Microsecond),
+		Dur:   3 * time.Millisecond,
+	}
+	r.Counters[CtrNewtonIters] = 42
+	w := r.Wire(epoch)
+	if w.Stage != StageFaultSim || w.Macro != "comparator" || w.Class != "short/1" || !w.DfT {
+		t.Fatalf("labels: %+v", w)
+	}
+	if w.TUS != 250 || w.DurUS != 3000 {
+		t.Fatalf("times: t_us=%v dur_us=%v", w.TUS, w.DurUS)
+	}
+	if len(w.Counters) != 1 || w.Counters["newton_iters"] != 42 {
+		t.Fatalf("counters: %v", w.Counters)
+	}
+}

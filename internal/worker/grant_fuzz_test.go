@@ -26,16 +26,11 @@ func (b bodyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 		Body: io.NopCloser(bytes.NewReader(b.body))}, nil
 }
 
-// wellFormed is the lease-body oracle: the body is one JSON value of
-// the expected shape (json.Unmarshal accepts it), and a batch holds at
-// least one grant.
-func wellFormed(body []byte, batch bool) bool {
-	if batch {
-		var b jobserver.GrantBatch
-		return json.Unmarshal(body, &b) == nil && len(b.Grants) > 0
-	}
-	var g jobserver.Grant
-	return json.Unmarshal(body, &g) == nil
+// wellFormed is the lease-body oracle: the body is one grant batch
+// (json.Unmarshal accepts it) holding one to max grants.
+func wellFormed(body []byte, max int) bool {
+	var b jobserver.GrantBatch
+	return json.Unmarshal(body, &b) == nil && len(b.Grants) > 0 && len(b.Grants) <= max
 }
 
 // runnable is the grant oracle: the grant names its lease, job, unit
@@ -59,7 +54,7 @@ func fuzzLease(t *testing.T, body []byte, max int) {
 		t.Fatal(err)
 	}
 	gs, err := w.leaseN(context.Background(), max)
-	if !wellFormed(body, max > 1) {
+	if !wellFormed(body, max) {
 		if err == nil {
 			t.Fatalf("malformed body %q accepted as %d grants", body, len(gs))
 		}
@@ -115,11 +110,24 @@ var grantSeeds = []string{
 	`{"grants":[]}`, `{"grants":null}`, `{"grants":[{"lease":"l-1"}]}`, `[]`, `null`, ``,
 }
 
+// FuzzGrant fuzzes one grant, served as a one-grant batch to a
+// one-slot lease.
 func FuzzGrant(f *testing.F) {
 	for _, s := range grantSeeds {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, body []byte) { fuzzLease(t, body, 1) })
+	f.Fuzz(func(t *testing.T, grant []byte) {
+		fuzzLease(t, []byte(`{"grants":[`+string(grant)+`]}`), 1)
+	})
+}
+
+// TestLeaseRefusesOversizedBatch: a batch holding more grants than the
+// lease asked for is refused whole, before any unit starts.
+func TestLeaseRefusesOversizedBatch(t *testing.T) {
+	g := grantSeeds[0]
+	for _, max := range []int{1, 2} {
+		fuzzLease(t, []byte(`{"grants":[`+g+`,`+g+`,`+g+`]}`), max)
+	}
 }
 
 func FuzzGrantBatch(f *testing.F) {

@@ -253,8 +253,7 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // leaseN long-polls for up to max grants: (nil, nil) means no work
-// within the wait. max <= 1 speaks the original single-grant wire
-// shape, so this worker stays compatible with pre-batching daemons.
+// within the wait.
 func (w *Worker) leaseN(ctx context.Context, max int) ([]*jobserver.Grant, error) {
 	path := "/api/v1/lease"
 	if w.opts.Job != "" {
@@ -284,7 +283,7 @@ func (w *Worker) leaseN(ctx context.Context, max int) ([]*jobserver.Grant, error
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		gs, err := decodeGrants(resp.Body, max > 1)
+		gs, err := decodeGrants(resp.Body, max)
 		if err != nil {
 			return nil, err
 		}
@@ -300,30 +299,22 @@ func (w *Worker) leaseN(ctx context.Context, max int) ([]*jobserver.Grant, error
 	}
 }
 
-// decodeGrants decodes a lease response: one Grant, or with batch a
-// GrantBatch of at least one. A body that is not exactly one JSON value
-// of that shape is an error before any unit starts; whether each grant
-// can run is checkGrant's question, asked per grant.
-func decodeGrants(r io.Reader, batch bool) ([]*jobserver.Grant, error) {
-	var gs []jobserver.Grant
-	if batch {
-		var b jobserver.GrantBatch
-		if err := jobserver.DecodeBody(r, &b); err != nil {
-			return nil, fmt.Errorf("worker: bad grant batch: %w", err)
-		}
-		if len(b.Grants) == 0 {
-			return nil, fmt.Errorf("worker: empty grant batch")
-		}
-		gs = b.Grants
-	} else {
-		gs = make([]jobserver.Grant, 1)
-		if err := jobserver.DecodeBody(r, &gs[0]); err != nil {
-			return nil, fmt.Errorf("worker: bad grant: %w", err)
-		}
+// decodeGrants decodes a lease response: a GrantBatch of one to max
+// grants. A body that is not exactly one JSON value of that shape is an
+// error before any unit starts (a surplus grant would have no slot to
+// run in); whether each grant can run is checkGrant's question, asked
+// per grant.
+func decodeGrants(r io.Reader, max int) ([]*jobserver.Grant, error) {
+	var b jobserver.GrantBatch
+	if err := jobserver.DecodeBody(r, &b); err != nil {
+		return nil, fmt.Errorf("worker: bad grant batch: %w", err)
 	}
-	out := make([]*jobserver.Grant, len(gs))
-	for i := range gs {
-		out[i] = &gs[i]
+	if len(b.Grants) == 0 || len(b.Grants) > max {
+		return nil, fmt.Errorf("worker: grant batch of %d for %d slots", len(b.Grants), max)
+	}
+	out := make([]*jobserver.Grant, len(b.Grants))
+	for i := range b.Grants {
+		out[i] = &b.Grants[i]
 	}
 	return out, nil
 }

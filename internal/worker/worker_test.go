@@ -247,9 +247,9 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {
-			var g jobserver.Grant
-			if json.NewDecoder(resp.Body).Decode(&g) == nil {
-				grantC <- g
+			var b jobserver.GrantBatch
+			if json.NewDecoder(resp.Body).Decode(&b) == nil && len(b.Grants) == 1 {
+				grantC <- b.Grants[0]
 			}
 		}
 	}()
@@ -310,9 +310,9 @@ func TestManualLeaseRelease(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {
-			var g jobserver.Grant
-			if json.NewDecoder(resp.Body).Decode(&g) == nil {
-				grantC <- g
+			var b jobserver.GrantBatch
+			if json.NewDecoder(resp.Body).Decode(&b) == nil && len(b.Grants) == 1 {
+				grantC <- b.Grants[0]
 			}
 		}
 	}()

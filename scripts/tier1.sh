@@ -54,8 +54,9 @@
 #                        identical to a direct `dotest -quick` run, and
 #                        shut the daemon down with SIGTERM (exit 130)
 #  11. campaignw smoke  — (skipped with SHORT=1) attach two campaignw
-#                        remote workers to the same daemon, run a second
-#                        -quick job with units leasing out over the
+#                        remote workers to the same daemon (one with two
+#                        slots, so it leases multi-grant batches), run a
+#                        second -quick job with units leasing out over the
 #                        remote protocol, verify the served bytes are
 #                        again identical to the direct CLI run, and stop
 #                        the workers with SIGTERM (exit 130)
@@ -101,8 +102,8 @@ if [ -n "$vlint" ]; then
 fi
 
 # Rebind-seam lint: the per-die loops in internal/core must obtain
-# engines through the macro pool/rebind seam (macros.Respond* with a
-# shared EnginePool), never by compiling a netlist directly. A direct
+# engines through the macro pool/rebind seam (macros.Respond* with an
+# EnginePool), never by compiling a netlist directly. A direct
 # netlist.NewBuilder call in core would bypass the compile-once cache
 # and silently reintroduce the per-die rebuild cost. Tests are
 # excluded (they may build reference engines on purpose).
@@ -239,7 +240,8 @@ if [ -z "${SHORT:-}" ]; then
 	cmp "$tmp/ref.json" "$tmp/srv.json"
 
 	# Campaignw smoke: the remote-worker path must also be byte-identical.
-	# Two workers attach to the daemon; a second job (different seed, so it
+	# Two workers attach to the daemon, one with two slots so that a
+	# multi-grant batch runs end to end; a second job (different seed, so it
 	# cannot dedup onto the finished one) runs with units leasing out over
 	# the remote protocol, and the served bytes must again match the direct
 	# CLI run exactly. The workers are parked before submission so units
@@ -248,7 +250,7 @@ if [ -z "${SHORT:-}" ]; then
 	go build -o "$tmp/campaignw" ./cmd/campaignw
 	"$tmp/dotest" -quick -dft pre -seed 7 -workers 0 -json "$tmp/ref2.json" >/dev/null
 
-	"$tmp/campaignw" -addr "$addr" -id smoke-w1 -wait 2s &
+	"$tmp/campaignw" -addr "$addr" -id smoke-w1 -slots 2 -wait 2s &
 	wpid1=$!
 	"$tmp/campaignw" -addr "$addr" -id smoke-w2 -wait 2s &
 	wpid2=$!
