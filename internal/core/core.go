@@ -502,8 +502,10 @@ func (p *Pipeline) DiscoverClasses(ctx context.Context, macroName string, dft bo
 		magDefects = p.Cfg.MagnitudeDefects
 		sp = p.Obs.Start(obs.StageCollapse, macroName, "magnitude", dft, met)
 		byKey := map[string]int{}
+		keys := make([]string, len(classes))
 		for i := range classes {
-			byKey[classes[i].Fault.Key()] = i
+			keys[i] = classes[i].Fault.Key()
+			byKey[keys[i]] = i
 			classes[i].Count = 0
 		}
 		for _, f := range source.Faults {
@@ -515,19 +517,15 @@ func (p *Pipeline) DiscoverClasses(ctx context.Context, macroName string, dft bo
 		}
 		// Drop classes that received no magnitude mass and restore the
 		// descending-magnitude order.
-		kept := classes[:0]
-		for _, c := range classes {
+		kept, keptKeys := classes[:0], keys[:0]
+		for i, c := range classes {
 			if c.Count > 0 {
 				kept = append(kept, c)
+				keptKeys = append(keptKeys, keys[i])
 			}
 		}
 		classes = kept
-		sort.Slice(classes, func(i, j int) bool {
-			if classes[i].Count != classes[j].Count {
-				return classes[i].Count > classes[j].Count
-			}
-			return classes[i].Fault.Key() < classes[j].Fault.Key()
-		})
+		faults.SortClasses(classes, keptKeys)
 		sp.End()
 	}
 	// The analysis cap (Config.MaxClassesPerMacro) is applied later, in

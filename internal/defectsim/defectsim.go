@@ -11,7 +11,9 @@ package defectsim
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/faults"
 	"repro/internal/geom"
@@ -36,7 +38,8 @@ func (r *Result) FaultRate() float64 {
 	return float64(len(r.Faults)) / float64(r.Defects)
 }
 
-// Simulator sprinkles defects over one cell.
+// Simulator sprinkles defects over one cell. It keeps scratch buffers
+// between draws, so one Simulator must be used by one goroutine at a time.
 type Simulator struct {
 	Cell *layout.Cell
 	Proc *process.Process
@@ -44,7 +47,17 @@ type Simulator struct {
 	Metrics *obs.Metrics
 
 	graph *netGraph
+	// hits and hits2 receive disk queries; two, because some extractors
+	// query a second layer inside the loop over the first one's hits.
+	hits, hits2 []int
+	// parent is openFarTerminals' union-find and far its terminal list.
+	parent []int
+	far    []faults.Terminal
 }
+
+// cancelEvery is how many draws Sprinkle makes between checks of its
+// context.
+const cancelEvery = 1024
 
 // New prepares a simulator for the cell (building the connectivity graph
 // once).
@@ -53,8 +66,8 @@ func New(cell *layout.Cell, proc *process.Process) *Simulator {
 }
 
 // Sprinkle drops n defects with the given seed and extracts the faults.
-// Cancelling ctx aborts the Monte Carlo between draws; the partial result
-// is discarded and ctx.Err() returned.
+// Cancelling ctx aborts the Monte Carlo within cancelEvery draws; the
+// partial result is discarded and ctx.Err() returned.
 func (s *Simulator) Sprinkle(ctx context.Context, n int, seed int64) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -62,12 +75,15 @@ func (s *Simulator) Sprinkle(ctx context.Context, n int, seed int64) (*Result, e
 	rng := rand.New(rand.NewSource(seed))
 	res := &Result{Defects: n}
 	b := s.Cell.Bounds().Expand(1)
+	total := s.Proc.TotalDensity()
 	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if i%cancelEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			s.Metrics.Add(obs.CtrSprinkleDraws, int64(min(cancelEvery, n-i)))
 		}
-		s.Metrics.Add(obs.CtrSprinkleDraws, 1)
-		spec := s.Proc.PickDefect(rng)
+		spec := &s.Proc.Defects[s.Proc.PickIndex(rng.Float64()*total)]
 		d := geom.Disk{
 			C: geom.Point{
 				X: b.X0 + rng.Float64()*b.W(),
@@ -83,7 +99,7 @@ func (s *Simulator) Sprinkle(ctx context.Context, n int, seed int64) (*Result, e
 }
 
 // extract maps one defect to at most one circuit-level fault.
-func (s *Simulator) extract(spec process.DefectSpec, d geom.Disk) (faults.Fault, bool) {
+func (s *Simulator) extract(spec *process.DefectSpec, d geom.Disk) (faults.Fault, bool) {
 	switch spec.Type {
 	case process.ExtraMaterial:
 		return s.extractBridge(spec.Layer, d)
@@ -121,15 +137,19 @@ func (s *Simulator) markLocal(f faults.Fault, nets []string) faults.Fault {
 // connectivity — it is not a catastrophic fault and is skipped, exactly
 // as VLASIC reports only connectivity changes.
 func (s *Simulator) extractBridge(l process.Layer, d geom.Disk) (faults.Fault, bool) {
-	netSet := map[string]bool{}
+	var seen [8]string
+	nets := seen[:0]
 	sameResistor := true
 	resistorDev := ""
-	for _, idx := range s.Cell.QueryDisk(l, d) {
-		sh := s.Cell.Shapes[idx]
+	s.hits = s.Cell.QueryDisk(s.hits[:0], l, d)
+	for _, idx := range s.hits {
+		sh := &s.Cell.Shapes[idx]
 		if sh.Net == "" {
 			continue
 		}
-		netSet[sh.Net] = true
+		if !slices.Contains(nets, sh.Net) {
+			nets = append(nets, sh.Net)
+		}
 		if sh.Role != layout.Wire || sh.Device == "" {
 			sameResistor = false
 		} else if resistorDev == "" {
@@ -138,36 +158,33 @@ func (s *Simulator) extractBridge(l process.Layer, d geom.Disk) (faults.Fault, b
 			sameResistor = false
 		}
 	}
-	if len(netSet) < 2 {
+	if len(nets) < 2 {
 		return faults.Fault{}, false
 	}
 	if sameResistor && resistorDev != "" {
 		return faults.Fault{}, false
 	}
-	nets := make([]string, 0, len(netSet))
-	for n := range netSet {
-		nets = append(nets, n)
-	}
-	sort.Strings(nets)
-	f := faults.Fault{Kind: faults.Short, Nets: nets, Res: s.Proc.ShortRes[l]}
-	return s.markLocal(f, nets), true
+	out := slices.Clone(nets)
+	slices.Sort(out)
+	f := faults.Fault{Kind: faults.Short, Nets: out, Res: s.Proc.ShortRes[l]}
+	return s.markLocal(f, out), true
 }
 
 // extractMissing handles missing conductor material: a shorted device when
 // the disk removes a full gate, otherwise an open when it severs a wire.
 func (s *Simulator) extractMissing(l process.Layer, d geom.Disk) (faults.Fault, bool) {
-	hits := s.Cell.QueryDisk(l, d)
+	s.hits = s.Cell.QueryDisk(s.hits[:0], l, d)
 	// Gate removal first: shorted device.
-	for _, idx := range hits {
-		sh := s.Cell.Shapes[idx]
+	for _, idx := range s.hits {
+		sh := &s.Cell.Shapes[idx]
 		if sh.Role == layout.Gate && d.SpansWidth(sh.Rect) {
 			f := faults.Fault{Kind: faults.ShortedDevice, Device: sh.Device, Res: s.Proc.ShortedDeviceRes}
 			return s.markLocal(f, []string{sh.Net}), true
 		}
 	}
 	// Wire severing: the first severed shape defines the open.
-	for _, idx := range hits {
-		sh := s.Cell.Shapes[idx]
+	for _, idx := range s.hits {
+		sh := &s.Cell.Shapes[idx]
 		if sh.Role != layout.Wire || !d.SpansWidth(sh.Rect) {
 			continue
 		}
@@ -199,80 +216,59 @@ func (s *Simulator) openFarTerminals(net string, severed int, d geom.Disk) ([]fa
 		halfB = geom.NewRect(r.X0, clampLo(d.C.Y+d.R, r.Y0, r.Y1), r.X1, r.Y1)
 	}
 
-	comps := s.graph.components(net, severed)
-	// Union-find over comps plus the two pseudo halves.
-	const pseudoA, pseudoB = -1, -2
-	parent := map[int]int{pseudoA: pseudoA, pseudoB: pseudoB}
-	for i := range comps {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	compOf := map[int]int{}
-	for i, comp := range comps {
-		for _, idx := range comp {
-			compOf[idx] = i
-		}
+	g := s.graph
+	n := g.components(net, severed)
+	// Union-find over the components plus the two halves, pa and pb.
+	pa, pb := n, n+1
+	s.parent = s.parent[:0]
+	for i := 0; i < n+2; i++ {
+		s.parent = append(s.parent, i)
 	}
 	// Reconnect neighbours of the severed shape to whichever half they
 	// touch. A neighbour spanning the cut re-merges both halves.
-	for _, nb := range s.graph.adj[severed] {
-		ci, ok := compOf[nb]
-		if !ok {
-			continue
-		}
+	for _, nb := range g.adj[severed] {
 		nr := s.Cell.Shapes[nb].Rect
 		if !halfA.Empty() && nr.Intersects(halfA) {
-			union(ci, pseudoA)
+			s.union(g.lab[nb], pa)
 		}
 		if !halfB.Empty() && nr.Intersects(halfB) {
-			union(ci, pseudoB)
+			s.union(g.lab[nb], pb)
 		}
 	}
-	if find(pseudoA) == find(pseudoB) {
+	if s.find(pa) == s.find(pb) {
 		return nil, false // a redundant path spans the cut: no open
 	}
-	// Anchor: the net's earliest shape, or pseudo half A when the severed
-	// shape itself is earliest.
-	near := find(pseudoA)
-	for _, idx := range s.graph.byNet[net] {
-		if idx == severed {
-			break
-		}
-		near = find(compOf[idx])
-		break
+	// Anchor: the net's earliest shape, or half A when the severed shape
+	// itself is earliest.
+	ids := g.byNet[net]
+	near := s.find(pa)
+	if len(ids) > 0 && ids[0] != severed {
+		near = s.find(g.lab[ids[0]])
 	}
-	var far []faults.Terminal
-	seen := map[faults.Terminal]bool{}
-	for i, comp := range comps {
-		if find(i) == near {
-			continue
-		}
-		for _, idx := range comp {
-			sh := s.Cell.Shapes[idx]
-			if sh.Device == "" {
-				continue
-			}
-			t := faults.Terminal{Device: sh.Device, Net: net}
-			if !seen[t] {
-				seen[t] = true
-				far = append(far, t)
-			}
+	far := s.far[:0]
+	for _, idx := range ids {
+		if dev := s.Cell.Shapes[idx].Device; idx != severed && dev != "" && s.find(g.lab[idx]) != near {
+			far = append(far, faults.Terminal{Device: dev, Net: net})
 		}
 	}
+	s.far = far
 	if len(far) == 0 {
 		return nil, false
 	}
-	sort.Slice(far, func(i, j int) bool { return far[i].Device < far[j].Device })
-	return far, true
+	slices.SortFunc(far, func(a, b faults.Terminal) int { return strings.Compare(a.Device, b.Device) })
+	return slices.Clone(slices.Compact(far)), true
 }
+
+// find returns the root of x in s.parent, halving the path on the way.
+func (s *Simulator) find(x int) int {
+	for s.parent[x] != x {
+		s.parent[x] = s.parent[s.parent[x]]
+		x = s.parent[x]
+	}
+	return x
+}
+
+func (s *Simulator) union(a, b int) { s.parent[s.find(a)] = s.find(b) }
 
 // clampLo clamps v into [lo, hi].
 func clampLo(v, lo, hi float64) float64 {
@@ -287,13 +283,12 @@ func clampLo(v, lo, hi float64) float64 {
 
 // extractGOS handles gate-oxide pinholes: the disk must land on a gate.
 func (s *Simulator) extractGOS(d geom.Disk) (faults.Fault, bool) {
-	for _, l := range []process.Layer{process.Poly} {
-		for _, idx := range s.Cell.QueryDisk(l, d) {
-			sh := s.Cell.Shapes[idx]
-			if sh.Role == layout.Gate {
-				f := faults.Fault{Kind: faults.GOSPinhole, Device: sh.Device, Res: s.Proc.PinholeRes}
-				return s.markLocal(f, []string{sh.Net}), true
-			}
+	s.hits = s.Cell.QueryDisk(s.hits[:0], process.Poly, d)
+	for _, idx := range s.hits {
+		sh := &s.Cell.Shapes[idx]
+		if sh.Role == layout.Gate {
+			f := faults.Fault{Kind: faults.GOSPinhole, Device: sh.Device, Res: s.Proc.PinholeRes}
+			return s.markLocal(f, []string{sh.Net}), true
 		}
 	}
 	return faults.Fault{}, false
@@ -303,8 +298,9 @@ func (s *Simulator) extractGOS(d geom.Disk) (faults.Fault, bool) {
 // source/drain diffusion region; the leak goes to that device's bulk.
 func (s *Simulator) extractJunction(d geom.Disk) (faults.Fault, bool) {
 	for _, l := range []process.Layer{process.NDiff, process.PDiff} {
-		for _, idx := range s.Cell.QueryDisk(l, d) {
-			sh := s.Cell.Shapes[idx]
+		s.hits = s.Cell.QueryDisk(s.hits[:0], l, d)
+		for _, idx := range s.hits {
+			sh := &s.Cell.Shapes[idx]
 			if sh.Role != layout.SDRegion || sh.Net == sh.Bulk || sh.Bulk == "" {
 				continue
 			}
@@ -320,14 +316,16 @@ func (s *Simulator) extractJunction(d geom.Disk) (faults.Fault, bool) {
 // extractThickOx handles field-oxide pinholes: a metal1 shape shorted to a
 // conductor routed beneath it (or to the substrate when nothing is below).
 func (s *Simulator) extractThickOx(d geom.Disk) (faults.Fault, bool) {
-	for _, mIdx := range s.Cell.QueryDisk(process.Metal1, d) {
-		m := s.Cell.Shapes[mIdx]
+	s.hits = s.Cell.QueryDisk(s.hits[:0], process.Metal1, d)
+	for _, mIdx := range s.hits {
+		m := &s.Cell.Shapes[mIdx]
 		if m.Net == "" {
 			continue
 		}
 		for _, l := range []process.Layer{process.Poly, process.NDiff, process.PDiff} {
-			for _, uIdx := range s.Cell.QueryDisk(l, d) {
-				u := s.Cell.Shapes[uIdx]
+			s.hits2 = s.Cell.QueryDisk(s.hits2[:0], l, d)
+			for _, uIdx := range s.hits2 {
+				u := &s.Cell.Shapes[uIdx]
 				if u.Net == "" || u.Net == m.Net || !u.Rect.Intersects(m.Rect) {
 					continue
 				}
@@ -360,13 +358,15 @@ func (s *Simulator) extractExtraContact(d geom.Disk) (faults.Fault, bool) {
 		{process.Metal2, process.Metal1},
 	}
 	for _, p := range pairs {
-		for _, aIdx := range s.Cell.QueryDisk(p[0], d) {
-			a := s.Cell.Shapes[aIdx]
+		s.hits = s.Cell.QueryDisk(s.hits[:0], p[0], d)
+		for _, aIdx := range s.hits {
+			a := &s.Cell.Shapes[aIdx]
 			if a.Net == "" {
 				continue
 			}
-			for _, bIdx := range s.Cell.QueryDisk(p[1], d) {
-				b := s.Cell.Shapes[bIdx]
+			s.hits2 = s.Cell.QueryDisk(s.hits2[:0], p[1], d)
+			for _, bIdx := range s.hits2 {
+				b := &s.Cell.Shapes[bIdx]
 				if b.Net == "" || b.Net == a.Net || !a.Rect.Intersects(b.Rect) {
 					continue
 				}
@@ -385,14 +385,16 @@ func (s *Simulator) extractExtraContact(d geom.Disk) (faults.Fault, bool) {
 // poly net the defect also touches (floating otherwise).
 func (s *Simulator) extractNewDevice(d geom.Disk) (faults.Fault, bool) {
 	for _, l := range []process.Layer{process.NDiff, process.PDiff} {
-		for _, idx := range s.Cell.QueryDisk(l, d) {
-			sh := s.Cell.Shapes[idx]
+		s.hits = s.Cell.QueryDisk(s.hits[:0], l, d)
+		for _, idx := range s.hits {
+			sh := &s.Cell.Shapes[idx]
 			if sh.Role != layout.SDRegion || !d.SpansWidth(sh.Rect) {
 				continue
 			}
 			gate := ""
-			for _, pIdx := range s.Cell.QueryDisk(process.Poly, d) {
-				p := s.Cell.Shapes[pIdx]
+			s.hits2 = s.Cell.QueryDisk(s.hits2[:0], process.Poly, d)
+			for _, pIdx := range s.hits2 {
+				p := &s.Cell.Shapes[pIdx]
 				if p.Net != "" && p.Net != sh.Net {
 					gate = p.Net
 					break

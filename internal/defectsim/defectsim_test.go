@@ -23,7 +23,7 @@ func TestExtractBridge(t *testing.T) {
 	s := New(twoWires(), process.Default())
 	spec := process.DefectSpec{Type: process.ExtraMaterial, Layer: process.Metal1}
 	// Big defect between the wires: bridges them.
-	f, ok := s.extract(spec, geom.Disk{C: geom.Point{X: 25, Y: 1.5}, R: 1.6})
+	f, ok := s.extract(&spec, geom.Disk{C: geom.Point{X: 25, Y: 1.5}, R: 1.6})
 	if !ok {
 		t.Fatal("expected a short")
 	}
@@ -37,11 +37,11 @@ func TestExtractBridge(t *testing.T) {
 		t.Fatal("no ports marked: fault must be local")
 	}
 	// Small defect touches only one wire: no fault.
-	if _, ok := s.extract(spec, geom.Disk{C: geom.Point{X: 25, Y: 0}, R: 0.8}); ok {
+	if _, ok := s.extract(&spec, geom.Disk{C: geom.Point{X: 25, Y: 0}, R: 0.8}); ok {
 		t.Fatal("single-net touch must not fault")
 	}
 	// Defect in empty space: no fault.
-	if _, ok := s.extract(spec, geom.Disk{C: geom.Point{X: 25, Y: 20}, R: 2}); ok {
+	if _, ok := s.extract(&spec, geom.Disk{C: geom.Point{X: 25, Y: 20}, R: 2}); ok {
 		t.Fatal("defect in space must not fault")
 	}
 }
@@ -51,7 +51,7 @@ func TestExtractBridgeCrossMacroFlag(t *testing.T) {
 	c.MarkPort("b")
 	s := New(c, process.Default())
 	spec := process.DefectSpec{Type: process.ExtraMaterial, Layer: process.Metal1}
-	f, ok := s.extract(spec, geom.Disk{C: geom.Point{X: 25, Y: 1.5}, R: 1.6})
+	f, ok := s.extract(&spec, geom.Disk{C: geom.Point{X: 25, Y: 1.5}, R: 1.6})
 	if !ok || f.Local {
 		t.Fatalf("short involving port net must be non-local: %+v ok=%v", f, ok)
 	}
@@ -81,7 +81,7 @@ func TestExtractOpen(t *testing.T) {
 	s := New(wireWithLoad(), process.Default())
 	spec := process.DefectSpec{Type: process.MissingMaterial, Layer: process.Metal1}
 	// Sever the wire in the middle: the device side splits off.
-	f, ok := s.extract(spec, geom.Disk{C: geom.Point{X: 15, Y: 10}, R: 0.8})
+	f, ok := s.extract(&spec, geom.Disk{C: geom.Point{X: 15, Y: 10}, R: 0.8})
 	if !ok {
 		t.Fatal("expected an open")
 	}
@@ -95,11 +95,11 @@ func TestExtractOpen(t *testing.T) {
 		t.Fatal("open on a port net is cross-macro")
 	}
 	// A defect too small to span the wire: no fault.
-	if _, ok := s.extract(spec, geom.Disk{C: geom.Point{X: 15, Y: 10}, R: 0.3}); ok {
+	if _, ok := s.extract(&spec, geom.Disk{C: geom.Point{X: 15, Y: 10}, R: 0.3}); ok {
 		t.Fatal("partial nick must not open")
 	}
 	// Severing the far stub beyond the contact isolates nothing.
-	if f2, ok := s.extract(spec, geom.Disk{C: geom.Point{X: 29.9, Y: 10}, R: 0.7}); ok {
+	if f2, ok := s.extract(&spec, geom.Disk{C: geom.Point{X: 29.9, Y: 10}, R: 0.7}); ok {
 		// If the disk reaches the contact-connected region it may still
 		// isolate the gate; only a pure stub cut must be a no-op.
 		if len(f2.FarTerminals) == 0 {
@@ -113,7 +113,7 @@ func TestExtractShortedDevice(t *testing.T) {
 	spec := process.DefectSpec{Type: process.MissingMaterial, Layer: process.Poly}
 	// Remove the gate: channel bridged. Gate of m1 is at (29, 0), W=4
 	// so the gate rect spans y in [-2, 2], x in [28.5, 29.5].
-	f, ok := s.extract(spec, geom.Disk{C: geom.Point{X: 29, Y: 0}, R: 0.8})
+	f, ok := s.extract(&spec, geom.Disk{C: geom.Point{X: 29, Y: 0}, R: 0.8})
 	if !ok || f.Kind != faults.ShortedDevice || f.Device != "m1" {
 		t.Fatalf("fault = %+v ok=%v", f, ok)
 	}
@@ -121,12 +121,12 @@ func TestExtractShortedDevice(t *testing.T) {
 
 func TestExtractGOSAndJunction(t *testing.T) {
 	s := New(wireWithLoad(), process.Default())
-	gos, ok := s.extract(process.DefectSpec{Type: process.GateOxidePinhole}, geom.Disk{C: geom.Point{X: 29, Y: 0}, R: 0.2})
+	gos, ok := s.extract(&process.DefectSpec{Type: process.GateOxidePinhole}, geom.Disk{C: geom.Point{X: 29, Y: 0}, R: 0.2})
 	if !ok || gos.Kind != faults.GOSPinhole || gos.Device != "m1" {
 		t.Fatalf("gos = %+v ok=%v", gos, ok)
 	}
 	// Junction pinhole on the source region (left of gate at x≈26.5-28.5).
-	jun, ok := s.extract(process.DefectSpec{Type: process.JunctionPinhole}, geom.Disk{C: geom.Point{X: 27.5, Y: 0}, R: 0.2})
+	jun, ok := s.extract(&process.DefectSpec{Type: process.JunctionPinhole}, geom.Disk{C: geom.Point{X: 27.5, Y: 0}, R: 0.2})
 	if !ok || jun.Kind != faults.JunctionPinholeKind {
 		t.Fatalf("junction = %+v ok=%v", jun, ok)
 	}
@@ -134,7 +134,7 @@ func TestExtractGOSAndJunction(t *testing.T) {
 		t.Fatalf("junction nets = %v", jun.Nets)
 	}
 	// GOS off-gate: no fault.
-	if _, ok := s.extract(process.DefectSpec{Type: process.GateOxidePinhole}, geom.Disk{C: geom.Point{X: 5, Y: 10}, R: 0.2}); ok {
+	if _, ok := s.extract(&process.DefectSpec{Type: process.GateOxidePinhole}, geom.Disk{C: geom.Point{X: 5, Y: 10}, R: 0.2}); ok {
 		t.Fatal("gos away from gates must not fault")
 	}
 }
@@ -144,7 +144,7 @@ func TestExtractThickOx(t *testing.T) {
 	b.HWire(process.Metal1, "m", 0, 20, 0)
 	b.VWire(process.Poly, "p", 10, -5, 5) // poly crossing under the metal
 	s := New(b.C, process.Default())
-	f, ok := s.extract(process.DefectSpec{Type: process.ThickOxidePinhole}, geom.Disk{C: geom.Point{X: 10, Y: 0}, R: 0.3})
+	f, ok := s.extract(&process.DefectSpec{Type: process.ThickOxidePinhole}, geom.Disk{C: geom.Point{X: 10, Y: 0}, R: 0.3})
 	if !ok || f.Kind != faults.ThickOxPinhole {
 		t.Fatalf("thickox = %+v ok=%v", f, ok)
 	}
@@ -152,7 +152,7 @@ func TestExtractThickOx(t *testing.T) {
 		t.Fatalf("nets = %v", f.Nets)
 	}
 	// Away from the crossing: substrate short.
-	f2, ok := s.extract(process.DefectSpec{Type: process.ThickOxidePinhole}, geom.Disk{C: geom.Point{X: 3, Y: 0}, R: 0.3})
+	f2, ok := s.extract(&process.DefectSpec{Type: process.ThickOxidePinhole}, geom.Disk{C: geom.Point{X: 3, Y: 0}, R: 0.3})
 	if !ok || f2.Nets[0] != "m" || f2.Nets[1] != "vss" {
 		t.Fatalf("substrate thickox = %+v ok=%v", f2, ok)
 	}
@@ -163,7 +163,7 @@ func TestExtractExtraContact(t *testing.T) {
 	b.HWire(process.Metal1, "m", 0, 20, 0)
 	b.VWire(process.Poly, "p", 10, -5, 5)
 	s := New(b.C, process.Default())
-	f, ok := s.extract(process.DefectSpec{Type: process.ExtraContact}, geom.Disk{C: geom.Point{X: 10, Y: 0}, R: 0.3})
+	f, ok := s.extract(&process.DefectSpec{Type: process.ExtraContact}, geom.Disk{C: geom.Point{X: 10, Y: 0}, R: 0.3})
 	if !ok || f.Kind != faults.ExtraContactKind {
 		t.Fatalf("extracontact = %+v ok=%v", f, ok)
 	}
@@ -171,7 +171,7 @@ func TestExtractExtraContact(t *testing.T) {
 		t.Fatalf("Res = %g, want 2", f.Res)
 	}
 	// No crossing: no fault (extra contacts need two conductors).
-	if _, ok := s.extract(process.DefectSpec{Type: process.ExtraContact}, geom.Disk{C: geom.Point{X: 3, Y: 0}, R: 0.3}); ok {
+	if _, ok := s.extract(&process.DefectSpec{Type: process.ExtraContact}, geom.Disk{C: geom.Point{X: 3, Y: 0}, R: 0.3}); ok {
 		t.Fatal("extra contact without a crossing must not fault")
 	}
 }
@@ -181,7 +181,7 @@ func TestExtractNewDevice(t *testing.T) {
 	b.MOS("m1", "d", "g", "s", 10, 0, layout.MOSOpts{W: 4, L: 1})
 	s := New(b.C, process.Default())
 	// Extra poly spanning the drain region (x in [10.5, 12.5], y ±2).
-	f, ok := s.extract(process.DefectSpec{Type: process.ExtraPoly}, geom.Disk{C: geom.Point{X: 11.5, Y: 0}, R: 2.5})
+	f, ok := s.extract(&process.DefectSpec{Type: process.ExtraPoly}, geom.Disk{C: geom.Point{X: 11.5, Y: 0}, R: 2.5})
 	if !ok || f.Kind != faults.NewDevice {
 		t.Fatalf("newdevice = %+v ok=%v", f, ok)
 	}
@@ -253,7 +253,7 @@ func TestFaultRateEmpty(t *testing.T) {
 
 func TestComponentsWithoutRemoval(t *testing.T) {
 	g := buildNetGraph(wireWithLoad())
-	if n := len(g.components("sig", -1)); n != 1 {
+	if n := g.components("sig", -1); n != 1 {
 		t.Fatalf("sig graph components = %d", n)
 	}
 }

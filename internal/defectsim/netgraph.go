@@ -1,6 +1,8 @@
 package defectsim
 
 import (
+	"slices"
+
 	"repro/internal/layout"
 	"repro/internal/process"
 )
@@ -10,56 +12,80 @@ import (
 // cuts. The open-fault extractor removes a severed shape and computes the
 // resulting connected components to find the terminals split away.
 type netGraph struct {
-	cell *layout.Cell
-	// adj[i] lists the shape indices connected to shape i.
-	adj map[int][]int
+	// adj[i] lists, in ascending order, the shape indices connected to
+	// shape i.
+	adj [][]int
 	// byNet lists shape indices per net (conductors and cuts).
 	byNet map[string][]int
+
+	// Scratch of components: shape i is in component lab[i] of the last
+	// labelling when stamp[i] == gen.
+	lab   []int
+	stamp []uint32
+	gen   uint32
+	stack []int
 }
 
-// cutConnects reports which layers a cut kind joins.
-func cutConnects(kind process.Layer) []process.Layer {
-	switch kind {
-	case process.Contact:
-		return []process.Layer{process.Metal1, process.Poly, process.NDiff, process.PDiff}
-	case process.Via:
-		return []process.Layer{process.Metal1, process.Metal2}
-	}
-	return nil
+// cutConnects lists, per cut kind, the layers its cuts join.
+var cutConnects = [process.NumLayers][]process.Layer{
+	process.Contact: {process.Metal1, process.Poly, process.NDiff, process.PDiff},
+	process.Via:     {process.Metal1, process.Metal2},
 }
 
-// buildNetGraph constructs the connectivity graph of the cell.
+// linked reports whether two intersecting shapes of one net connect: on
+// the same conducting layer, or through a cut onto a layer it joins.
+func linked(a, b *layout.Shape) bool {
+	return a.Layer == b.Layer && a.Layer.Conducting() ||
+		a.Role == layout.Cut && layerIn(b.Layer, cutConnects[a.Layer]) ||
+		b.Role == layout.Cut && layerIn(a.Layer, cutConnects[b.Layer])
+}
+
+// buildNetGraph constructs the connectivity graph of the cell. Each shape
+// queries the cell's spatial index only on the layers it can link to: its
+// own layer if that conducts, the layers it joins if it is a cut, and the
+// cut layers that join its layer.
 func buildNetGraph(cell *layout.Cell) *netGraph {
-	g := &netGraph{cell: cell, adj: map[int][]int{}, byNet: map[string][]int{}}
-	for i, s := range cell.Shapes {
-		if s.Net == "" {
+	n := len(cell.Shapes)
+	g := &netGraph{adj: make([][]int, n), byNet: map[string][]int{},
+		lab: make([]int, n), stamp: make([]uint32, n)}
+	var hits, flat []int
+	for i := range cell.Shapes {
+		si := &cell.Shapes[i]
+		if si.Net == "" || !si.Layer.Conducting() && si.Role != layout.Cut {
 			continue
 		}
-		if s.Layer.Conducting() || s.Role == layout.Cut {
-			g.byNet[s.Net] = append(g.byNet[s.Net], i)
+		g.byNet[si.Net] = append(g.byNet[si.Net], i)
+		hits = hits[:0]
+		if si.Layer.Conducting() {
+			hits = cell.QueryRect(hits, si.Layer, si.Rect)
+		}
+		if si.Role == layout.Cut {
+			for _, l := range cutConnects[si.Layer] {
+				hits = cell.QueryRect(hits, l, si.Rect)
+			}
+		}
+		for k, joins := range &cutConnects {
+			if layerIn(si.Layer, joins) {
+				hits = cell.QueryRect(hits, process.Layer(k), si.Rect)
+			}
+		}
+		slices.Sort(hits)
+		n0 := len(flat)
+		for _, j := range hits {
+			if sj := &cell.Shapes[j]; j != i && sj.Net == si.Net && linked(si, sj) {
+				flat = append(flat, j)
+			}
+		}
+		if len(flat) > n0 {
+			g.adj[i] = flat[n0:len(flat):len(flat)]
 		}
 	}
-	link := func(a, b int) {
-		g.adj[a] = append(g.adj[a], b)
-		g.adj[b] = append(g.adj[b], a)
-	}
-	for _, ids := range g.byNet {
-		for x := 0; x < len(ids); x++ {
-			for y := x + 1; y < len(ids); y++ {
-				i, j := ids[x], ids[y]
-				si, sj := cell.Shapes[i], cell.Shapes[j]
-				if !si.Rect.Intersects(sj.Rect) {
-					continue
-				}
-				switch {
-				case si.Layer == sj.Layer && si.Layer.Conducting():
-					link(i, j)
-				case si.Role == layout.Cut && layerIn(sj.Layer, cutConnects(si.Layer)):
-					link(i, j)
-				case sj.Role == layout.Cut && layerIn(si.Layer, cutConnects(sj.Layer)):
-					link(i, j)
-				}
-			}
+	// Move the lists into one array of their exact size, so the graph
+	// does not keep the arrays flat outgrew alive.
+	flat = slices.Clone(flat)
+	for i, l := range g.adj {
+		if len(l) > 0 {
+			g.adj[i], flat = flat[:len(l):len(l)], flat[len(l):]
 		}
 	}
 	return g
@@ -74,33 +100,36 @@ func layerIn(l process.Layer, ls []process.Layer) bool {
 	return false
 }
 
-// components returns the connected components of net's shapes with the
-// shape at index `without` removed (pass -1 to keep all).
-func (g *netGraph) components(net string, without int) [][]int {
-	ids := g.byNet[net]
-	seen := map[int]bool{}
-	var comps [][]int
-	for _, start := range ids {
-		if start == without || seen[start] {
+// components labels the connected components of net's shapes with the
+// shape at index `without` removed (pass -1 to keep all), numbering them
+// from 0 in the order of their first shape, and returns how many there
+// are. Shape i of the net is then in component g.lab[i].
+func (g *netGraph) components(net string, without int) int {
+	if g.gen++; g.gen == 0 {
+		clear(g.stamp)
+		g.gen = 1
+	}
+	n := 0
+	for _, start := range g.byNet[net] {
+		if start == without || g.stamp[start] == g.gen {
 			continue
 		}
-		var comp []int
-		stack := []int{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, n)
-			for _, m := range g.adj[n] {
-				if m != without && !seen[m] {
-					seen[m] = true
-					stack = append(stack, m)
+		g.stamp[start] = g.gen
+		g.stack = append(g.stack[:0], start)
+		for len(g.stack) > 0 {
+			v := g.stack[len(g.stack)-1]
+			g.stack = g.stack[:len(g.stack)-1]
+			g.lab[v] = n
+			for _, m := range g.adj[v] {
+				if m != without && g.stamp[m] != g.gen {
+					g.stamp[m] = g.gen
+					g.stack = append(g.stack, m)
 				}
 			}
 		}
-		comps = append(comps, comp)
+		n++
 	}
-	return comps
+	return n
 }
 
 // CheckConnectivity returns, per net, the number of connected components
@@ -110,7 +139,7 @@ func CheckConnectivity(cell *layout.Cell) map[string]int {
 	g := buildNetGraph(cell)
 	out := map[string]int{}
 	for net := range g.byNet {
-		out[net] = len(g.components(net, -1))
+		out[net] = g.components(net, -1)
 	}
 	return out
 }

@@ -155,28 +155,45 @@ type Class struct {
 // Collapse groups faults by Key. Classes are ordered by descending count,
 // then by key for determinism.
 func Collapse(fs []Fault) []Class {
-	byKey := map[string]*Class{}
-	var order []string
+	byKey := map[string]int{}
+	out := []Class{} // never nil: an empty catalogue encodes as []
+	var keys []string
 	for _, f := range fs {
 		k := f.Key()
-		if c, ok := byKey[k]; ok {
-			c.Count++
+		if i, ok := byKey[k]; ok {
+			out[i].Count++
 		} else {
-			byKey[k] = &Class{Fault: f, Count: 1}
-			order = append(order, k)
+			byKey[k] = len(out)
+			out = append(out, Class{Fault: f, Count: 1})
+			keys = append(keys, k)
 		}
 	}
-	out := make([]Class, 0, len(byKey))
-	for _, k := range order {
-		out = append(out, *byKey[k])
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Fault.Key() < out[j].Fault.Key()
-	})
+	SortClasses(out, keys)
 	return out
+}
+
+// SortClasses orders cs by descending count, then by key, where keys[i]
+// is cs[i].Fault.Key(); it permutes keys alongside. Keys are unique per
+// class, so the order is total.
+func SortClasses(cs []Class, keys []string) { sort.Sort(byMagnitude{cs, keys}) }
+
+type byMagnitude struct {
+	cs   []Class
+	keys []string
+}
+
+func (b byMagnitude) Len() int { return len(b.cs) }
+
+func (b byMagnitude) Less(i, j int) bool {
+	if b.cs[i].Count != b.cs[j].Count {
+		return b.cs[i].Count > b.cs[j].Count
+	}
+	return b.keys[i] < b.keys[j]
+}
+
+func (b byMagnitude) Swap(i, j int) {
+	b.cs[i], b.cs[j] = b.cs[j], b.cs[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
 // CountByKind tallies faults (not classes) per kind.

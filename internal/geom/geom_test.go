@@ -226,7 +226,7 @@ func TestIndexFindsAllIntersections(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		d := Disk{Point{rng.Float64() * 1000, rng.Float64() * 1000}, rng.Float64()*20 + 0.1}
 		got := map[int]bool{}
-		for _, id := range ix.QueryDisk(d) {
+		for _, id := range ix.QueryDisk(nil, d) {
 			if got[id] {
 				t.Fatal("QueryDisk returned duplicate")
 			}
@@ -245,7 +245,7 @@ func TestIndexQueryRectUnique(t *testing.T) {
 	ix := NewIndex(NewRect(0, 0, 100, 100), 100)
 	// A big rect spanning many cells must be reported exactly once.
 	big := ix.Insert(NewRect(1, 1, 99, 99))
-	ids := ix.QueryRectUnique(NewRect(0, 0, 100, 100))
+	ids := ix.QueryRect(nil, NewRect(0, 0, 100, 100))
 	if len(ids) != 1 || ids[0] != big {
 		t.Fatalf("unique query = %v", ids)
 	}
@@ -258,12 +258,12 @@ func TestIndexOutOfBoundsQuery(t *testing.T) {
 	ix := NewIndex(NewRect(0, 0, 10, 10), 16)
 	ix.Insert(NewRect(9, 9, 10, 10))
 	// Query entirely outside bounds must not panic and clamps to edge cells.
-	ids := ix.QueryRectUnique(NewRect(50, 50, 60, 60))
+	ids := ix.QueryRect(nil, NewRect(50, 50, 60, 60))
 	if len(ids) != 0 {
 		t.Fatalf("expected no hits, got %v", ids)
 	}
 	// Disk straddling the boundary still finds the corner shape.
-	hits := ix.QueryDisk(Disk{Point{10.5, 10.5}, 1.0})
+	hits := ix.QueryDisk(nil, Disk{Point{10.5, 10.5}, 1.0})
 	if len(hits) != 1 {
 		t.Fatalf("boundary disk hits = %v", hits)
 	}

@@ -84,46 +84,43 @@ func (ix *Index) Insert(r Rect) int {
 	return id
 }
 
-// QueryRect calls fn for every stored rectangle whose bounding box
-// intersects r. Handles may be reported once per overlapping grid cell; fn
-// must tolerate duplicates or the caller should use QueryRectUnique.
-func (ix *Index) QueryRect(r Rect, fn func(id int)) {
+// QueryRect appends to dst the handle of every stored rectangle that
+// intersects r (touching edges count) and returns the extended slice. A
+// rectangle spanning several grid cells is appended once: each candidate
+// is checked against the handles this call has already appended.
+func (ix *Index) QueryRect(dst []int, r Rect) []int {
+	n0 := len(dst)
 	cx0, cy0, cx1, cy1 := ix.cellRange(r)
 	for cy := cy0; cy <= cy1; cy++ {
 		for cx := cx0; cx <= cx1; cx++ {
+		cand:
 			for _, id := range ix.cells[cy*ix.nx+cx] {
-				if ix.rects[id].Intersects(r) {
-					fn(id)
+				if !ix.rects[id].Intersects(r) {
+					continue
 				}
+				for _, h := range dst[n0:] {
+					if h == id {
+						continue cand
+					}
+				}
+				dst = append(dst, id)
 			}
 		}
 	}
+	return dst
 }
 
-// QueryRectUnique returns the deduplicated handles of all rectangles
-// intersecting r.
-func (ix *Index) QueryRectUnique(r Rect) []int {
-	var out []int
-	seen := map[int]bool{}
-	ix.QueryRect(r, func(id int) {
-		if !seen[id] {
-			seen[id] = true
+// QueryDisk appends to dst, once each, the handles of all rectangles that
+// actually intersect the disk (not merely its bounding box), and returns
+// the extended slice.
+func (ix *Index) QueryDisk(dst []int, d Disk) []int {
+	n0 := len(dst)
+	dst = ix.QueryRect(dst, d.Bounds())
+	out := dst[:n0]
+	for _, id := range dst[n0:] {
+		if d.IntersectsRect(ix.rects[id]) {
 			out = append(out, id)
 		}
-	})
-	return out
-}
-
-// QueryDisk returns the deduplicated handles of all rectangles that
-// actually intersect the disk (not merely its bounding box).
-func (ix *Index) QueryDisk(d Disk) []int {
-	var out []int
-	seen := map[int]bool{}
-	ix.QueryRect(d.Bounds(), func(id int) {
-		if !seen[id] && d.IntersectsRect(ix.rects[id]) {
-			seen[id] = true
-			out = append(out, id)
-		}
-	})
+	}
 	return out
 }

@@ -13,6 +13,7 @@ package layout
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -167,17 +168,30 @@ func (c *Cell) buildIndex(l process.Layer) {
 	c.idMap[l] = ids
 }
 
-// QueryDisk returns the positions (into c.Shapes) of all shapes on layer l
-// intersecting the disk.
-func (c *Cell) QueryDisk(l process.Layer, d geom.Disk) []int {
+// QueryDisk appends to dst the positions (into c.Shapes) of all shapes on
+// layer l intersecting the disk, in ascending order, and returns the
+// extended slice.
+func (c *Cell) QueryDisk(dst []int, l process.Layer, d geom.Disk) []int {
 	c.buildIndex(l)
-	handles := c.index[l].QueryDisk(d)
-	out := make([]int, len(handles))
-	for i, h := range handles {
-		out[i] = c.idMap[l][h]
+	return c.positions(len(dst), l, c.index[l].QueryDisk(dst, d))
+}
+
+// QueryRect is QueryDisk for the shapes on layer l intersecting r
+// (touching edges count).
+func (c *Cell) QueryRect(dst []int, l process.Layer, r geom.Rect) []int {
+	c.buildIndex(l)
+	return c.positions(len(dst), l, c.index[l].QueryRect(dst, r))
+}
+
+// positions maps the layer-l index handles in hits[n0:] to shape
+// positions and sorts them.
+func (c *Cell) positions(n0 int, l process.Layer, hits []int) []int {
+	tail := hits[n0:]
+	for i, h := range tail {
+		tail[i] = c.idMap[l][h]
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(tail)
+	return hits
 }
 
 // Builder provides a small DSL for constructing macro layouts.

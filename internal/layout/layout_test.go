@@ -55,17 +55,22 @@ func TestQueryDiskPerLayer(t *testing.T) {
 	c.Add(Shape{Layer: process.Metal1, Net: "b", Rect: geom.NewRect(0, 3, 10, 4)}) // 1
 	c.Add(Shape{Layer: process.Poly, Net: "g", Rect: geom.NewRect(0, 0, 10, 4)})   // 2
 	d := geom.Disk{C: geom.Point{X: 5, Y: 2}, R: 1.5}
-	m1 := c.QueryDisk(process.Metal1, d)
+	m1 := c.QueryDisk(nil, process.Metal1, d)
 	if len(m1) != 2 || m1[0] != 0 || m1[1] != 1 {
 		t.Fatalf("metal1 hits = %v", m1)
 	}
-	po := c.QueryDisk(process.Poly, d)
+	po := c.QueryDisk(nil, process.Poly, d)
 	if len(po) != 1 || po[0] != 2 {
 		t.Fatalf("poly hits = %v", po)
 	}
+	// A query appends after what the buffer already holds.
+	both := c.QueryDisk(c.QueryDisk(nil, process.Poly, d), process.Metal1, d)
+	if len(both) != 3 || both[0] != 2 || both[1] != 0 || both[2] != 1 {
+		t.Fatalf("poly then metal1 hits = %v", both)
+	}
 	// Index invalidation after Add.
 	c.Add(Shape{Layer: process.Metal1, Net: "c", Rect: geom.NewRect(4, 1.6, 6, 2.4)})
-	m1 = c.QueryDisk(process.Metal1, d)
+	m1 = c.QueryDisk(nil, process.Metal1, d)
 	if len(m1) != 3 {
 		t.Fatalf("after add, metal1 hits = %v", m1)
 	}
@@ -186,7 +191,7 @@ func TestQuickQueryDiskComplete(t *testing.T) {
 		d := geom.Disk{C: geom.Point{X: rng() * 100, Y: rng() * 100}, R: rng()*10 + 0.1}
 		for l := process.Layer(0); l < 3; l++ {
 			got := map[int]bool{}
-			for _, id := range c.QueryDisk(l, d) {
+			for _, id := range c.QueryDisk(nil, l, d) {
 				got[id] = true
 			}
 			for i, s := range c.Shapes {

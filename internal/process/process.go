@@ -221,14 +221,19 @@ func (p *Process) TotalDensity() float64 {
 // PickDefect selects a defect mechanism with probability proportional to
 // its density, using rng.
 func (p *Process) PickDefect(rng *rand.Rand) DefectSpec {
-	u := rng.Float64() * p.TotalDensity()
-	for _, d := range p.Defects {
-		u -= d.Density
+	return p.Defects[p.PickIndex(rng.Float64()*p.TotalDensity())]
+}
+
+// PickIndex returns the index into p.Defects of the mechanism that u
+// selects, for u drawn uniformly from [0, TotalDensity()).
+func (p *Process) PickIndex(u float64) int {
+	for i := range p.Defects {
+		u -= p.Defects[i].Density
 		if u <= 0 {
-			return d
+			return i
 		}
 	}
-	return p.Defects[len(p.Defects)-1]
+	return len(p.Defects) - 1
 }
 
 // SampleDiameter draws a defect diameter from the classical spot-defect

@@ -33,8 +33,10 @@
 #                        a reverted kernel optimisation does not
 #   8. vehicle smoke   — a quick 6-bit campaign runs the full
 #                        sprinkle→collapse→inject→classify→detect flow
-#                        (runs under SHORT=1 too: it is the only stage
-#                        covering a non-default vehicle end-to-end)
+#                        and its JSON must match the sha256 pinned in
+#                        scripts/digests.sha256 (runs under SHORT=1 too:
+#                        it is the only stage covering a non-default
+#                        vehicle end-to-end)
 #   9. RunMacro smoke  — dotest -quick -macro decoder and -macro ladder
 #                        must write the same JSON bytes with the default
 #                        class-analysis fan-out as strictly serial
@@ -146,18 +148,6 @@ go test $short -race ./...
 go test -bench=. -benchtime=1x ./...
 go run ./cmd/benchkernel -benchtime 100ms -check BENCH_kernel.json
 
-# Vehicle smoke: the non-default 6-bit vehicle must complete the whole
-# methodology (layout → sprinkle → collapse → inject → classify →
-# detect). Quick config, pre-DfT only, classes capped — this is a
-# does-it-run gate, not a coverage measurement. Kept under SHORT=1: no
-# other stage exercises a non-default vehicle end-to-end.
-go run ./cmd/dotest -quick -bits 6 -dft pre -maxclasses 4 >/dev/null
-echo "tier1: 6-bit vehicle smoke passed"
-
-# RunMacro smoke: a single macro's class analyses fan out over the
-# campaign workers, like Run's. The default fan-out must reproduce the
-# strictly serial run byte for byte, both on the ladder (workers share
-# its nominal factorization) and on the gate-level decoder.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/dotest" ./cmd/dotest
@@ -177,6 +167,20 @@ pinned() {
 	done >"$tmp/pins"
 	(cd "$tmp" && sha256sum -c --quiet pins)
 }
+
+# Vehicle smoke: the non-default 6-bit vehicle must complete the whole
+# methodology (layout → sprinkle → collapse → inject → classify →
+# detect) and write its pinned bytes. Quick config, pre-DfT only,
+# classes capped. Kept under SHORT=1: no other stage exercises a
+# non-default vehicle end-to-end.
+"$tmp/dotest" -quick -bits 6 -dft pre -maxclasses 4 -json "$tmp/six.json" >/dev/null
+pinned six.json
+echo "tier1: 6-bit vehicle smoke passed and pinned"
+
+# RunMacro smoke: a single macro's class analyses fan out over the
+# campaign workers, like Run's. The default fan-out must reproduce the
+# strictly serial run byte for byte, both on the ladder (workers share
+# its nominal factorization) and on the gate-level decoder.
 
 for m in decoder ladder; do
 	"$tmp/dotest" -quick -macro "$m" -json "$tmp/$m.json" >/dev/null
