@@ -110,6 +110,43 @@ func analyzeSetup() (*core.Pipeline, error) {
 	return analyzePipe, analyzeErr
 }
 
+// openSetup lazily builds (and warms) the pipeline of the ladder-open
+// case: analyzeSetup's configuration plus an observer, whose aggregated
+// counters the case reads to pin the rebuild path. (The bridge case's
+// pipeline stays unobserved, so its allocs/op keep their meaning.)
+var (
+	openOnce sync.Once
+	openPipe *core.Pipeline
+	openAgg  *obs.Agg
+	openErr  error
+)
+
+func openSetup() (*core.Pipeline, *obs.Agg, error) {
+	openOnce.Do(func() {
+		cfg := core.QuickConfig()
+		cfg.MCSamples = 5
+		openAgg = obs.NewAgg()
+		openPipe = core.NewPipeline(cfg)
+		openPipe.Obs = obs.New(openAgg)
+		if _, openErr = openPipe.GoodSpace(context.Background(), false); openErr != nil {
+			return
+		}
+		_, openErr = openPipe.AnalyzeClass(context.Background(), "ladder", ladderOpen(), false, false)
+	})
+	return openPipe, openAgg, openErr
+}
+
+// ladderOpen is an open of tap t050 that cuts segment r050 off it: its
+// fault plan changes the topology, so the low-rank path cannot serve it
+// and every analysis builds, injects and factors a fresh engine.
+func ladderOpen() faults.Class {
+	return faults.Class{
+		Fault: faults.Fault{Kind: faults.Open, Nets: []string{"t050"},
+			FarTerminals: []faults.Terminal{{Device: "r050", Net: "t050"}}},
+		Count: 1,
+	}
+}
+
 // ladderBridge is the analysed class: the adjacent-tap ladder short of
 // BenchmarkAblationBridgeResistance, a mid-detectability workhorse.
 func ladderBridge() faults.Class {
@@ -357,6 +394,29 @@ func Cases() []Case {
 				if _, err := p.AnalyzeClass(context.Background(), "ladder", c, false, false); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}},
+		{Name: "analyzeclass/ladder-open", Bench: func(b *testing.B) {
+			// The rebuild quantum: a topology-changing ladder class takes
+			// a fresh netlist, engine, pattern probe and learned
+			// factorisation per analysis. The counter guard pins that
+			// every timed op really rebuilds.
+			p, agg, err := openSetup()
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := ladderOpen()
+			before := sumCounter(agg, obs.CtrFullRebuilds)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.AnalyzeClass(context.Background(), "ladder", c, false, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if n := sumCounter(agg, obs.CtrFullRebuilds) - before; n != int64(b.N) {
+				b.Fatalf("full_rebuilds = %d over %d timed ops, want one each", n, b.N)
 			}
 		}},
 	}

@@ -98,9 +98,7 @@ func (m *ClockgenMacro) Respond(ctx context.Context, f *faults.Fault, opt Respon
 	if err != nil {
 		return nil, err
 	}
-	if release != nil {
-		defer release()
-	}
+	defer release()
 	for si, st := range cgStates {
 		sp := opt.span(obs.StageFaultSim, m.Name())
 		for i := 1; i <= 3; i++ {

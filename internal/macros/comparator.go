@@ -259,10 +259,10 @@ type cmpSession struct {
 	release func()
 }
 
-// close ends the session, checking a fault-free engine back into the
-// pool.
+// close ends the session: a fault-free engine goes back into the pool,
+// a faulty one is released. A session that never ran holds no engine.
 func (s *cmpSession) close() {
-	if s.release != nil {
+	if s.eng != nil {
 		s.release()
 	}
 }

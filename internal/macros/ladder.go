@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/adc"
 	"repro/internal/faults"
@@ -39,8 +40,32 @@ func (l *LadderMacro) Name() string { return "ladder" }
 // Count implements Macro.
 func (l *LadderMacro) Count() int { return 1 }
 
+// ladderNames formats the tap net names t000.. and segment resistor
+// names r000.. of the largest supported vehicle once: every rebuild
+// names each tap and segment, and every solve reads each tap by name.
+var ladderNames = sync.OnceValues(func() (taps, segs []string) {
+	n := 1 << MaxBits
+	taps, segs = make([]string, n+1), make([]string, n)
+	for k := range taps {
+		taps[k] = fmt.Sprintf("t%03d", k)
+	}
+	for i := range segs {
+		segs[i] = fmt.Sprintf("r%03d", i)
+	}
+	return taps, segs
+})
+
 // tapName returns the canonical net name of tap k (0..segments).
-func tapName(k int) string { return fmt.Sprintf("t%03d", k) }
+func tapName(k int) string {
+	taps, _ := ladderNames()
+	return taps[k]
+}
+
+// segName returns the name of the resistor of segment i (taps i, i+1).
+func segName(i int) string {
+	_, segs := ladderNames()
+	return segs[i]
+}
 
 // buildLadderCircuit constructs the resistor string with its reference
 // sources. Taps 0 and 2^N are the external terminals.
@@ -58,7 +83,7 @@ func (l *LadderMacro) buildLadderInto(b *netlist.Builder, v Variation) {
 	b.Vsrc("vrefhi", tapName(segs), "0", netlist.DC(VRefHi))
 	b.Vsrc("vreflo", tapName(0), "0", netlist.DC(VRefLo))
 	for i := 0; i < segs; i++ {
-		b.R(fmt.Sprintf("r%03d", i), tapName(i), tapName(i+1), rseg*v.RhoScale)
+		b.R(segName(i), tapName(i), tapName(i+1), rseg*v.RhoScale)
 	}
 }
 
@@ -92,11 +117,9 @@ func (l *LadderMacro) solveTaps(ctx context.Context, f *faults.Fault, opt Respon
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if release != nil {
-		// Release only after the tap voltages are copied out: the
-		// Solution below aliases engine-owned storage.
-		defer release()
-	}
+	// Release only after the tap voltages are copied out: the Solution
+	// below aliases engine-owned storage.
+	defer release()
 	sp = opt.span(obs.StageFaultSim, l.Name())
 	sol, err := eng.OP(ctx)
 	sp.End()
@@ -258,10 +281,10 @@ func (l *LadderMacro) Layout(bool) *layout.Cell {
 			// continuing tap at the fold side.
 			if r%2 == 0 {
 				x := float64(s) * segLen
-				b.Resistor(fmt.Sprintf("r%03d", i), tapName(i), tapName(i+1), x, y, segLen, 1.2)
+				b.Resistor(segName(i), tapName(i), tapName(i+1), x, y, segLen, 1.2)
 			} else {
 				x := float64(LadderRowLen-1-s) * segLen
-				b.Resistor(fmt.Sprintf("r%03d", i), tapName(i+1), tapName(i), x, y, segLen, 1.2)
+				b.Resistor(segName(i), tapName(i+1), tapName(i), x, y, segLen, 1.2)
 			}
 		}
 		// Vertical poly link to the next row at the fold.

@@ -18,7 +18,8 @@ import (
 //  2. fault-free, pool miss         → fresh build, pooled on release
 //     → CtrFullRebuilds
 //  3. faulty                        → fresh build + injection, lives
-//     only as long as its session  → CtrFullRebuilds
+//     only as long as its session, → CtrFullRebuilds
+//     whose end recycles its matrix
 //
 // A failed revalue (the fresh build differs from the pooled circuit in
 // a count, a kind, a label, a terminal or a MOSFET's geometry) discards
@@ -45,10 +46,12 @@ type engineCheckout struct {
 	into func(*netlist.Builder)
 }
 
-// checkoutEngine returns the session's engine plus a release function
-// (nil when the engine must not be pooled: no pool attached, or a
-// faulty engine). Callers must invoke release only after extracting
-// every result that aliases engine-owned storage.
+// checkoutEngine returns the session's engine plus its release, which
+// checks a fault-free engine back into the pool and, when the engine
+// must not be pooled (a faulty engine, or no pool attached), ends it
+// and recycles its matrix (spice.Engine.Release). Callers must invoke
+// release exactly once, and only after extracting every result that
+// aliases engine-owned storage.
 func checkoutEngine(opt RespondOpts, co engineCheckout) (*spice.Engine, func(), error) {
 	var eng *spice.Engine
 	if co.f == nil {
@@ -75,7 +78,7 @@ func checkoutEngine(opt RespondOpts, co engineCheckout) (*spice.Engine, func(), 
 		opt.Metrics.Add(obs.CtrFullRebuilds, 1)
 	}
 	if co.f != nil || opt.Pool == nil {
-		return eng, nil, nil
+		return eng, eng.Release, nil
 	}
 	return eng, func() { opt.Pool.release(co.key, pooledEngine{eng: eng, v: opt.Var}) }, nil
 }

@@ -81,10 +81,12 @@ const (
 	// CtrSparseFactorHits counts LU factorisations that ran over the
 	// cached symbolic sparsity pattern.
 	CtrSparseFactorHits
-	// CtrDenseFallbacks counts LU factorisations that finished on the
-	// dense path of a sparsity-aware workspace: first-time pattern
-	// learning, and pivot-cache mismatches that no recently used
-	// analysis covered (continued densely from the mismatching step).
+	// CtrDenseFallbacks counts LU factorisations whose pivots left every
+	// known analysis of a sparsity-aware workspace, so the learn pass
+	// over the stamp pattern finished them: a workspace's first learn,
+	// and pivot-cache mismatches that no recently used analysis covered
+	// (learned on from the mismatching step). The name predates the
+	// learn pass, which replaced a dense continuation.
 	CtrDenseFallbacks
 	// CtrBaselineCacheHits counts fault-free baseline responses served
 	// from the memoised cache instead of re-simulating the good machine.
@@ -136,8 +138,8 @@ const (
 	// left the cached sequence and that stayed sparse by switching to a
 	// recently used analysis mid-pass.
 	CtrSparseRetryHits
-	// CtrDenseLearns counts the CtrDenseFallbacks that learned a
-	// workspace's first analysis; the rest continued densely from a
+	// CtrDenseLearns counts the CtrDenseFallbacks that were a
+	// workspace's first learn; the rest left every known analysis at a
 	// pivot-cache mismatch.
 	CtrDenseLearns
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // ErrSingular is returned when factorisation encounters a pivot that is
@@ -24,6 +25,42 @@ type Matrix struct {
 func NewMatrix(n int) *Matrix {
 	return &Matrix{N: n, A: make([]float64, n*n)}
 }
+
+// matrixPools recycles matrices by size: a released simulation engine
+// returns its n² MNA matrix here, and the next engine of that size takes
+// it instead of allocating one afresh.
+var matrixPools struct {
+	sync.Mutex
+	bySize map[int]*sync.Pool
+}
+
+func matrixPool(n int) *sync.Pool {
+	matrixPools.Lock()
+	defer matrixPools.Unlock()
+	p := matrixPools.bySize[n]
+	if p == nil {
+		if matrixPools.bySize == nil {
+			matrixPools.bySize = map[int]*sync.Pool{}
+		}
+		p = &sync.Pool{}
+		matrixPools.bySize[n] = p
+	}
+	return p
+}
+
+// TakeMatrix returns an n×n matrix recycled by RecycleMatrix, or a new
+// zero one when none is pooled. A recycled matrix holds whatever its
+// previous owner left in it; the caller clears it as it needs.
+func TakeMatrix(n int) *Matrix {
+	if m, ok := matrixPool(n).Get().(*Matrix); ok {
+		return m
+	}
+	return NewMatrix(n)
+}
+
+// RecycleMatrix hands m to the pool for a later TakeMatrix of its size.
+// The caller must not touch m afterwards.
+func RecycleMatrix(m *Matrix) { matrixPool(m.N).Put(m) }
 
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.A[i*m.N+j] }
@@ -119,7 +156,7 @@ func (f *LU) Refactor(m *Matrix) error {
 	}
 	copy(f.lu, m.A)
 	f.reset()
-	return f.eliminate(0)
+	return f.eliminate()
 }
 
 // reset makes the permutation the identity before a factorisation.
@@ -155,12 +192,11 @@ func (f *LU) interchange(k, p int) {
 	f.sign = -f.sign
 }
 
-// eliminate runs the dense partial-pivoting elimination on f.lu from
-// step k0 to the end. Steps before k0 must already be applied to f.lu,
-// with their interchanges recorded in piv, sign and step.
-func (f *LU) eliminate(k0 int) error {
+// eliminate runs the dense partial-pivoting elimination on f.lu: the
+// reference every SparseLU factorisation is bit-identical to.
+func (f *LU) eliminate() error {
 	n := f.n
-	for k := k0; k < n; k++ {
+	for k := 0; k < n; k++ {
 		// Pivot search in column k.
 		p, max := k, math.Abs(f.lu[k*n+k])
 		for i := k + 1; i < n; i++ {

@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Pattern is the structural nonzero pattern of an n×n MNA matrix: the
@@ -17,8 +18,11 @@ import (
 // cell a stamp can write, because the sparse factorisation relies on
 // unmarked cells holding exact +0.
 type Pattern struct {
-	N  int
-	nz []bool
+	N int
+	// rows holds one bit row of w words per matrix row: cell (i, j) is
+	// bit j&63 of rows[i*w+j>>6].
+	rows []uint64
+	w    int
 	// idx lists the flat index of every marked cell, in first-mark
 	// order; maintained incrementally so Count and the low-rank
 	// residual never have to scan the n² cells to enumerate the pattern.
@@ -27,20 +31,21 @@ type Pattern struct {
 
 // NewPattern returns an empty n×n pattern.
 func NewPattern(n int) *Pattern {
-	return &Pattern{N: n, nz: make([]bool, n*n)}
+	w := (n + 63) >> 6
+	return &Pattern{N: n, rows: make([]uint64, n*w), w: w}
 }
 
 // Mark adds cell (i, j) to the pattern.
 func (p *Pattern) Mark(i, j int) {
-	f := i*p.N + j
-	if !p.nz[f] {
-		p.nz[f] = true
-		p.idx = append(p.idx, int32(f))
+	f, b := i*p.w+j>>6, uint64(1)<<(j&63)
+	if p.rows[f]&b == 0 {
+		p.rows[f] |= b
+		p.idx = append(p.idx, int32(i*p.N+j))
 	}
 }
 
 // Has reports whether cell (i, j) is in the pattern.
-func (p *Pattern) Has(i, j int) bool { return p.nz[i*p.N+j] }
+func (p *Pattern) Has(i, j int) bool { return p.rows[i*p.w+j>>6]>>(j&63)&1 != 0 }
 
 // Count returns the number of marked cells. Mark maintains idx
 // incrementally (one entry per first-time mark), so the count is just
@@ -54,9 +59,9 @@ const (
 	// FactorSparse: every step's pivot matched the cached sequence and
 	// the whole pass ran over the symbolic pattern.
 	FactorSparse FactorPath = iota
-	// FactorDense: at some step k the pivot matched no known analysis,
-	// so the pass continued with the dense elimination from k and the
-	// analysis of the recorded pivot sequence was looked up (or built).
+	// FactorDense: at some step k the pivot left every known analysis,
+	// so the pass learned the structure from step k on and the analysis
+	// of the pivot sequence it followed was looked up (or built).
 	FactorDense
 	// FactorSparseRetry: the pivot left the cached sequence at least
 	// once, but each time a recently used analysis agreed with the
@@ -64,7 +69,7 @@ const (
 	FactorSparseRetry
 	// FactorDenseLearn: the workspace held no analysis yet (its first
 	// factorisation, or the first after a failed one), so the whole
-	// pass ran dense to learn one.
+	// pass learned one.
 	FactorDenseLearn
 )
 
@@ -74,105 +79,49 @@ func (p FactorPath) Sparse() bool { return p == FactorSparse || p == FactorSpars
 
 // symbolic is the cached elimination analysis for one (pattern, pivot
 // sequence) pair: the structural result of simulating Gaussian
-// elimination with the recorded interchanges, including fill-in.
+// elimination with the recorded interchanges, including fill-in. It
+// lives in one flat int32 array:
+//
+//	a[0:n]      piv: piv[k] is the pivot row of step k (the row swapped
+//	            up to position k; piv[k] == k when no interchange happened)
+//	a[n:6n+1]   off: list l is a[off[l]:off[l+1]]
+//	a[6n+1:]    the lists: search, elim and utail of each step k
+//	            (lists 3k, 3k+1, 3k+2), then lrow and urow of each row i
+//	            (lists 3n+2i, 3n+2i+1)
+//
+// search(k) lists the rows i > k with a structural nonzero in column k
+// before step k's interchange. Together with the diagonal cell (k, k)
+// these are the only rows whose magnitude can exceed zero in the dense
+// pivot search, so scanning them reproduces the dense argmax exactly.
+// elim(k) lists the rows i > k with a structural nonzero at (i, k)
+// after the interchange — the rows the update loop eliminates.
+// utail(k) lists the columns j > k structurally nonzero in pivot row k
+// at step k (prior fill included) — the update columns. lrow(i) and
+// urow(i) are the final factored structure of row i: columns j < i of
+// L (unit diagonal implied) and j > i of U, both ascending, for the
+// sparse triangular solves.
 type symbolic struct {
-	// piv[k] is the cached pivot row of step k (the row swapped up to
-	// position k; piv[k] == k when no interchange happened).
 	piv []int32
-	// search[k] lists the rows i > k with a structural nonzero in
-	// column k before step k's interchange. Together with the diagonal
-	// cell (k, k) these are the only rows whose magnitude can exceed
-	// zero in the dense pivot search, so scanning them reproduces the
-	// dense argmax exactly.
-	search [][]int32
-	// elim[k] lists the rows i > k with a structural nonzero at (i, k)
-	// after the interchange — the rows the update loop eliminates.
-	elim [][]int32
-	// utail[k] lists the columns j > k structurally nonzero in pivot
-	// row k at step k (prior fill included) — the update columns.
-	utail [][]int32
-	// lrow[i]/urow[i] are the final factored structure per row:
-	// columns j < i of L (unit diagonal implied) and j > i of U, both
-	// ascending, for the sparse triangular solves.
-	lrow [][]int32
-	urow [][]int32
+	off []int32
+	a   []int32
 	// nnz is the filled nonzero count (diagnostics).
 	nnz int
 }
 
-// buildSymbolic simulates the elimination on the pattern under the given
-// per-step pivot sequence, recording per-step structure and fill-in.
-// w is caller-provided scratch of length n*n, overwritten wholesale.
-func buildSymbolic(pat []bool, n int, step []int32, w []bool) *symbolic {
-	copy(w, pat)
-	sym := &symbolic{
-		piv:    make([]int32, n),
-		search: make([][]int32, n),
-		elim:   make([][]int32, n),
-		utail:  make([][]int32, n),
-		lrow:   make([][]int32, n),
-		urow:   make([][]int32, n),
-	}
-	copy(sym.piv, step)
-	for k := 0; k < n; k++ {
-		var rows []int32
-		for i := k + 1; i < n; i++ {
-			if w[i*n+k] {
-				rows = append(rows, int32(i))
-			}
-		}
-		sym.search[k] = rows
-		if p := int(step[k]); p != k {
-			for j := 0; j < n; j++ {
-				w[k*n+j], w[p*n+j] = w[p*n+j], w[k*n+j]
-			}
-		}
-		var er, uc []int32
-		for i := k + 1; i < n; i++ {
-			if w[i*n+k] {
-				er = append(er, int32(i))
-			}
-		}
-		for j := k + 1; j < n; j++ {
-			if w[k*n+j] {
-				uc = append(uc, int32(j))
-			}
-		}
-		sym.elim[k], sym.utail[k] = er, uc
-		// Fill-in: eliminating row i against pivot row k writes every
-		// update column of the pivot row. (The numeric loop may skip a
-		// row whose multiplier is exactly zero; the superset is safe.)
-		for _, i := range er {
-			ri := w[int(i)*n : int(i)*n+n]
-			for _, j := range uc {
-				ri[j] = true
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		var lr, ur []int32
-		for j := 0; j < i; j++ {
-			if w[i*n+j] {
-				lr = append(lr, int32(j))
-			}
-		}
-		for j := i + 1; j < n; j++ {
-			if w[i*n+j] {
-				ur = append(ur, int32(j))
-			}
-		}
-		sym.lrow[i], sym.urow[i] = lr, ur
-		sym.nnz += len(lr) + len(ur) + 1
-	}
-	return sym
-}
+func (s *symbolic) list(l int) []int32   { return s.a[s.off[l]:s.off[l+1]] }
+func (s *symbolic) search(k int) []int32 { return s.list(3 * k) }
+func (s *symbolic) elim(k int) []int32   { return s.list(3*k + 1) }
+func (s *symbolic) utail(k int) []int32  { return s.list(3*k + 2) }
+func (s *symbolic) lrow(i int) []int32   { return s.list(3*len(s.piv) + 2*i) }
+func (s *symbolic) urow(i int) []int32   { return s.list(3*len(s.piv) + 2*i + 1) }
 
 // SparseLU is a factorisation workspace that exploits the structural
 // sparsity of MNA matrices. It factors in place: after Refactor(m) the
 // factors live in m.A, where the solves read them, until the caller
 // overwrites m (the engine's next assembly). A caller that still needs
 // the unfactored matrix factors a clone. The workspace holds only the
-// pivot bookkeeping and the symbolic analyses, no n² float buffer.
+// pivot bookkeeping, the symbolic analyses and the learn pass's
+// scratch, no n² float buffer.
 //
 // A symbolic analysis is the structure, fill-in included, that the
 // elimination has under one pivot sequence. Refactor is one elimination
@@ -184,26 +133,30 @@ func buildSymbolic(pat []bool, n int, step []int32, w []bool) *symbolic {
 //     and chooses the observed pivot at step k, the pass switches to it
 //     and stays sparse (the structure left after k steps depends only
 //     on their pivots, so the two analyses agree on it);
-//   - otherwise it continues with the dense elimination from step k and
-//     then looks up, or learns, the analysis of the pivot sequence it
-//     recorded.
+//   - otherwise the learn pass takes over from step k: it rebuilds the
+//     structure of steps [0, k) from the current analysis, then picks
+//     each later pivot over the structural column, eliminates over the
+//     structural rows and columns and records the structure, fill-in
+//     included, as it goes. The analysis of the pivot sequence it
+//     followed is then looked up, or built from that record.
 //
-// The first factorisation, with no analysis yet, runs dense throughout.
+// The first factorisation, with no analysis yet, learns from step 0.
+// Every path runs the same arithmetic, so the factors are the same.
 //
-// The bit-identity argument: cells outside the filled pattern hold
-// exact +0 throughout the dense elimination (MNA assembly accumulates
-// from +0 and IEEE-754 addition/subtraction of non-negative-zero terms
-// never produces -0), so the multiply-adds the sparse path skips would
-// have contributed exactly ±0 to sums that are themselves never -0.
-// In place, fill-in cells start at the +0 that assembly left outside
-// the pattern, which is what the dense path finds there. The only cells
-// where the result differs from the dense path's are the ±0 multipliers
-// the dense path stores at structurally-zero L cells, where the sparse
-// steps leave +0. No later elimination step reads an L cell of an
-// earlier column, so a dense continuation from step k computes what the
-// dense path computes, and the solves never let those zeros reach an
-// arithmetic result. The solver's property tests pin this down by
-// comparing solve outputs and determinants bit for bit.
+// The bit-identity argument against the dense LU: cells outside the
+// filled pattern hold exact +0 throughout the dense elimination (MNA
+// assembly accumulates from +0 and IEEE-754 addition/subtraction of
+// non-negative-zero terms never produces -0), so the multiply-adds the
+// sparse steps skip would have contributed exactly ±0 to sums that are
+// themselves never -0. In place, fill-in cells start at the +0 that
+// assembly left outside the pattern, which is what the dense path
+// finds there. The only cells where the result differs from the dense
+// path's are the ±0 multipliers the dense path stores at
+// structurally-zero L cells, where the sparse steps leave +0. No later
+// elimination step reads an L cell of an earlier column, and the
+// solves never let those zeros reach an arithmetic result. The
+// solver's property tests pin this down by comparing solve outputs and
+// determinants bit for bit.
 type SparseLU struct {
 	n int
 	// pat is the stamp pattern, shared with the caller's Pattern.
@@ -218,10 +171,9 @@ type SparseLU struct {
 	// over (device operating regions shift the column magnitudes, the
 	// convergence aids shift the diagonals — a transient walks through
 	// a few hundred distinct sequences and then repeats them), so a
-	// dense continuation first looks for an existing analysis of the
-	// sequence it just recorded before paying for a new one — steady
-	// state then re-analyses nothing, no matter how often the pivots
-	// flip.
+	// learn pass first looks for an existing analysis of the sequence
+	// it just followed before building a new one — steady state then
+	// builds nothing, no matter how often the pivots flip.
 	cands  map[uint64][]*symbolic
 	nCands int
 	// mru holds the most recently used analyses, most recent first. A
@@ -229,13 +181,13 @@ type SparseLU struct {
 	// on a mismatch at step k with observed pivot p the right analysis
 	// is almost always one of these.
 	mru [8]*symbolic
-	// lastSparse records whether the most recent pass stayed sparse;
-	// only then do the solves run over the symbolic structure. After a
-	// dense continuation they run dense, as the dense path's would.
-	lastSparse bool
-	// symW is the scratch working pattern for buildSymbolic, reused
-	// across analyses (the build overwrites it wholesale).
-	symW []bool
+	// The learn pass's scratch, reused across passes: work is the
+	// working pattern (bit rows laid out as Pattern's), rec holds the
+	// search, elim and utail lists of the steps the pass ran back to
+	// back, and recOff their bounds (list t is rec[recOff[t]:recOff[t+1]]).
+	work   []uint64
+	rec    []int32
+	recOff []int32
 }
 
 // maxSymbolicCands bounds the per-workspace analysis cache; reaching it
@@ -269,10 +221,10 @@ func (s *SparseLU) FillNNZ() int {
 	return s.sym.nnz
 }
 
-// Refactor factors m in place in one elimination pass, sparse while a
-// known analysis predicts the pivots and dense from the first step none
-// does. m must have its nonzeros inside the workspace's pattern
-// (unmarked cells exactly +0), which holds by construction for
+// Refactor factors m in place in one elimination pass, replaying known
+// analyses while they predict the pivots and learning from the first
+// step none does. m must have its nonzeros inside the workspace's
+// pattern (unmarked cells exactly +0), which holds by construction for
 // MNA-assembled matrices. The returned path reports how the pass ran;
 // the numeric result is identical either way. Errors match the dense
 // LU's.
@@ -291,20 +243,17 @@ func (s *SparseLU) Refactor(m *Matrix) (FactorPath, error) {
 			return path, err
 		}
 		if k == s.n {
-			s.lastSparse = true
 			s.touch(s.sym)
 			return path, nil
 		}
 		path = FactorDense
 	}
-	s.lastSparse = false
-	if err := s.f.eliminate(k); err != nil {
+	if err := s.learn(k); err != nil {
 		// The recorded step sequence is partial; drop any stale
 		// analysis so the next call re-learns from scratch.
 		s.sym = nil
 		return path, err
 	}
-	s.sym = s.analysisFor(s.f.step)
 	s.touch(s.sym)
 	return path, nil
 }
@@ -313,7 +262,7 @@ func (s *SparseLU) Refactor(m *Matrix) (FactorPath, error) {
 // recently used analysis when the observed pivot leaves the current
 // one's sequence. It returns the step it stopped at: n when every step
 // ran sparsely, else the first step whose pivot no known analysis
-// predicts — the step the dense continuation starts from.
+// predicts — the step the learn pass starts from.
 func (s *SparseLU) replay() (FactorPath, int, error) {
 	n := s.n
 	f := &s.f
@@ -325,7 +274,7 @@ func (s *SparseLU) replay() (FactorPath, int, error) {
 		// hold exact +0 and can never strictly exceed max ≥ 0, so the
 		// argmax equals the dense scan's.
 		p, max := k, math.Abs(lu[k*n+k])
-		for _, ii := range sym.search[k] {
+		for _, ii := range sym.search(k) {
 			if a := math.Abs(lu[int(ii)*n+k]); a > max {
 				p, max = int(ii), a
 			}
@@ -340,23 +289,217 @@ func (s *SparseLU) replay() (FactorPath, int, error) {
 			s.sym, path = sym, FactorSparseRetry
 		}
 		f.interchange(k, p)
-		rowk := lu[k*n : k*n+n]
-		pivot := rowk[k]
-		for _, ii := range sym.elim[k] {
-			i := int(ii)
-			rowi := lu[i*n : i*n+n]
-			l := rowi[k] / pivot
-			rowi[k] = l
-			if l == 0 {
-				continue
-			}
-			for _, jj := range sym.utail[k] {
-				j := int(jj)
-				rowi[j] -= l * rowk[j]
-			}
-		}
+		s.eliminateStep(k, sym.elim(k), sym.utail(k))
 	}
 	return path, n, nil
+}
+
+// eliminateStep eliminates column k below the pivot over the given
+// structural rows and update columns: the one elimination step of both
+// the replay and the learn pass.
+func (s *SparseLU) eliminateStep(k int, elim, utail []int32) {
+	n := s.n
+	lu := s.f.lu
+	rowk := lu[k*n : k*n+n]
+	pivot := rowk[k]
+	for _, ii := range elim {
+		i := int(ii)
+		rowi := lu[i*n : i*n+n]
+		l := rowi[k] / pivot
+		rowi[k] = l
+		if l == 0 {
+			continue
+		}
+		for _, jj := range utail {
+			j := int(jj)
+			rowi[j] -= l * rowk[j]
+		}
+	}
+}
+
+// learn finishes the elimination from step k0 over the stamp pattern
+// and leaves s.sym at the analysis of the pivot sequence it followed.
+// Steps [0, k0) must already be applied under s.sym's pivots (k0 is 0
+// when s.sym is nil). Each step picks its pivot over the structural
+// column of the working pattern, as replay does over an analysis's
+// search list, and eliminates over the structural rows and update
+// columns, so the pass runs replay's arithmetic. Its structure is
+// recorded into the workspace's scratch; an analysis is materialised
+// only when the memo holds none for the sequence.
+func (s *SparseLU) learn(k0 int) error {
+	n, w := s.n, s.pat.w
+	if s.work == nil {
+		s.work = make([]uint64, len(s.pat.rows))
+	}
+	work := s.work
+	copy(work, s.pat.rows)
+	prev := s.sym
+	for k := 0; k < k0; k++ {
+		s.swapRows(k, int(prev.piv[k]))
+		for _, i := range prev.elim(k) {
+			s.fill(int(i), k)
+		}
+	}
+	f := &s.f
+	lu := f.lu
+	s.rec, s.recOff = s.rec[:0], append(s.recOff[:0], 0)
+	for k := k0; k < n; k++ {
+		kw, kb := k>>6, uint64(1)<<(k&63)
+		p, max := k, math.Abs(lu[k*n+k])
+		lo := len(s.rec)
+		for i := k + 1; i < n; i++ {
+			if work[i*w+kw]&kb != 0 {
+				s.rec = append(s.rec, int32(i))
+				if a := math.Abs(lu[i*n+k]); a > max {
+					p, max = i, a
+				}
+			}
+		}
+		hi := len(s.rec)
+		s.recOff = append(s.recOff, int32(hi))
+		if max < tiny {
+			return singularAt(k, max)
+		}
+		// After the interchange the rows with a structural (i, k) are
+		// the search rows, except that row p now holds the old row k:
+		// it stays only if that row had the diagonal cell.
+		keepP := work[k*w+kw]&kb != 0
+		f.interchange(k, p)
+		s.swapRows(k, p)
+		for t := lo; t < hi; t++ {
+			if i := s.rec[t]; int(i) != p || keepP {
+				s.rec = append(s.rec, i)
+			}
+		}
+		mid := len(s.rec)
+		s.rec = appendCols(s.rec, work[k*w:k*w+w], k+1, n)
+		s.recOff = append(s.recOff, int32(mid), int32(len(s.rec)))
+		elim, utail := s.rec[hi:mid], s.rec[mid:]
+		for _, i := range elim {
+			s.fill(int(i), k)
+		}
+		s.eliminateStep(k, elim, utail)
+	}
+	h := hashInt32s(f.step)
+	if s.sym = s.lookup(h, f.step); s.sym != nil {
+		return nil
+	}
+	s.sym = s.materialise(prev, k0)
+	if s.nCands >= maxSymbolicCands {
+		s.cands, s.nCands = nil, 0
+	}
+	if s.cands == nil {
+		s.cands = make(map[uint64][]*symbolic)
+	}
+	s.cands[h] = append(s.cands[h], s.sym)
+	s.nCands++
+	return nil
+}
+
+// swapRows swaps rows a and b of the working pattern.
+func (s *SparseLU) swapRows(a, b int) {
+	if a == b {
+		return
+	}
+	w := s.pat.w
+	ra, rb := s.work[a*w:a*w+w], s.work[b*w:b*w+w]
+	for j := range ra {
+		ra[j], rb[j] = rb[j], ra[j]
+	}
+}
+
+// fill records the fill-in of eliminating row i against pivot row k:
+// every column j > k structurally nonzero in the pivot row becomes
+// structurally nonzero in row i. (The numeric step may skip a row whose
+// multiplier is exactly zero; the superset is safe.)
+func (s *SparseLU) fill(i, k int) {
+	w := s.pat.w
+	kw := k >> 6
+	ri, rk := s.work[i*w+kw:i*w+w], s.work[k*w+kw:k*w+w]
+	ri[0] |= rk[0] & (^uint64(0) << (k & 63) << 1)
+	for j := 1; j < len(ri); j++ {
+		ri[j] |= rk[j]
+	}
+}
+
+// lookup returns the memoised analysis of the pivot sequence step with
+// hash h, or nil.
+func (s *SparseLU) lookup(h uint64, step []int32) *symbolic {
+	for _, c := range s.cands[h] {
+		if int32sEqual(c.piv, step) {
+			return c
+		}
+	}
+	return nil
+}
+
+// materialise builds the analysis of the sequence the learn pass just
+// followed from step k0: prev's lists for steps [0, k0), the recorded
+// lists for the rest and the row structure of the final working
+// pattern, in one allocation.
+func (s *SparseLU) materialise(prev *symbolic, k0 int) *symbolic {
+	n, w := s.n, s.pat.w
+	var prefix []int32
+	if k0 > 0 {
+		prefix = prev.a[prev.off[0]:prev.off[3*k0]]
+	}
+	offDiag := 0
+	for i := 0; i < n; i++ {
+		for _, x := range s.work[i*w : i*w+w] {
+			offDiag += bits.OnesCount64(x)
+		}
+		offDiag -= int(s.work[i*w+i>>6] >> (i & 63) & 1)
+	}
+	head := 6*n + 1
+	a := make([]int32, head+len(prefix)+len(s.rec)+offDiag)
+	sym := &symbolic{piv: a[:n:n], off: a[n:head:head], a: a, nnz: offDiag + n}
+	copy(sym.piv, s.f.step)
+	out := a[:head]
+	sym.off[0] = int32(head)
+	l := 0
+	next := func(list []int32) {
+		out = append(out, list...)
+		l++
+		sym.off[l] = int32(len(out))
+	}
+	for l < 3*k0 {
+		next(prev.list(l))
+	}
+	for t := 0; l < 3*n; t++ {
+		next(s.rec[s.recOff[t]:s.recOff[t+1]])
+	}
+	for i := 0; i < n; i++ {
+		row := s.work[i*w : i*w+w]
+		out = appendCols(out, row, 0, i)
+		l++
+		sym.off[l] = int32(len(out))
+		out = appendCols(out, row, i+1, n)
+		l++
+		sym.off[l] = int32(len(out))
+	}
+	return sym
+}
+
+// appendCols appends the columns j in [lo, hi) set in the bit row to
+// dst, ascending.
+func appendCols(dst []int32, row []uint64, lo, hi int) []int32 {
+	if lo >= hi {
+		return dst
+	}
+	first, last := lo>>6, (hi-1)>>6
+	for wd := first; wd <= last; wd++ {
+		x := row[wd]
+		if wd == first {
+			x &= ^uint64(0) << (lo & 63)
+		}
+		if wd == last {
+			x &= ^uint64(0) >> (63 - (hi-1)&63)
+		}
+		for ; x != 0; x &= x - 1 {
+			dst = append(dst, int32(wd<<6|bits.TrailingZeros64(x)))
+		}
+	}
+	return dst
 }
 
 // touch promotes sym to the front of the MRU list.
@@ -389,30 +532,6 @@ func (s *SparseLU) altCandidate(cur *symbolic, k int, p int32) *symbolic {
 	return nil
 }
 
-// analysisFor returns the cached symbolic analysis of the given pivot
-// sequence, building (and remembering) it on first sight.
-func (s *SparseLU) analysisFor(step []int32) *symbolic {
-	h := hashInt32s(step)
-	for _, c := range s.cands[h] {
-		if int32sEqual(c.piv, step) {
-			return c
-		}
-	}
-	if s.symW == nil {
-		s.symW = make([]bool, s.n*s.n)
-	}
-	sym := buildSymbolic(s.pat.nz, s.n, step, s.symW)
-	if s.nCands >= maxSymbolicCands {
-		s.cands, s.nCands = nil, 0
-	}
-	if s.cands == nil {
-		s.cands = make(map[uint64][]*symbolic)
-	}
-	s.cands[h] = append(s.cands[h], sym)
-	s.nCands++
-	return sym
-}
-
 // hashInt32s is FNV-1a over the sequence's little-endian bytes.
 func hashInt32s(a []int32) uint64 {
 	h := uint64(14695981039346656037)
@@ -440,15 +559,12 @@ func int32sEqual(a, b []int32) bool {
 
 // SolveInto solves A·x = b for the factored A into the caller-provided
 // x (len n), allocation-free; b is not modified and x must not alias
-// it (panics on the exact-overlap case, like LU.SolveInto). After a
-// sparse factorisation the triangular solves run over the symbolic
-// structure only, which is bit-identical to the dense solve (the
+// it (panics on the exact-overlap case, like LU.SolveInto). The
+// triangular solves run over the symbolic structure of the last
+// factorisation only, which is bit-identical to the dense solve (the
 // skipped coefficients are ±0 and the partial sums they would join
 // are never -0).
 func (s *SparseLU) SolveInto(x, b []float64) []float64 {
-	if !s.lastSparse {
-		return s.f.SolveInto(x, b)
-	}
 	checkNoAlias(x, b)
 	n := s.n
 	lu := s.f.lu
@@ -460,7 +576,7 @@ func (s *SparseLU) SolveInto(x, b []float64) []float64 {
 	for i := 1; i < n; i++ {
 		var sum float64
 		row := lu[i*n : i*n+n]
-		for _, j := range sym.lrow[i] {
+		for _, j := range sym.lrow(i) {
 			sum += row[j] * x[j]
 		}
 		x[i] -= sum
@@ -468,7 +584,7 @@ func (s *SparseLU) SolveInto(x, b []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		var sum float64
 		row := lu[i*n : i*n+n]
-		for _, j := range sym.urow[i] {
+		for _, j := range sym.urow(i) {
 			sum += row[j] * x[j]
 		}
 		x[i] = (x[i] - sum) / row[i]

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -495,4 +496,210 @@ func TestSparseContinuationMatchesDense(t *testing.T) {
 		}
 	}
 	t.Logf("paths %v; dense from steps %v; retries from steps %v", paths, ks[FactorDense], ks[FactorSparseRetry])
+}
+
+// refSymbolic is the per-step structure of the elimination under one
+// pivot sequence, as buildSymbolic derives it.
+type refSymbolic struct {
+	search, elim, utail, lrow, urow [][]int32
+	nnz                             int
+}
+
+// buildSymbolic is the all-pairs reference for the learn pass: it
+// simulates the elimination on an n×n bool copy of the pattern under
+// the given per-step pivot sequence, recording each step's structure
+// and the fill-in.
+func buildSymbolic(p *Pattern, step []int32) *refSymbolic {
+	n := p.N
+	w := make([]bool, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			w[i*n+j] = p.Has(i, j)
+		}
+	}
+	sym := &refSymbolic{
+		search: make([][]int32, n),
+		elim:   make([][]int32, n),
+		utail:  make([][]int32, n),
+		lrow:   make([][]int32, n),
+		urow:   make([][]int32, n),
+	}
+	for k := 0; k < n; k++ {
+		var rows []int32
+		for i := k + 1; i < n; i++ {
+			if w[i*n+k] {
+				rows = append(rows, int32(i))
+			}
+		}
+		sym.search[k] = rows
+		if p := int(step[k]); p != k {
+			for j := 0; j < n; j++ {
+				w[k*n+j], w[p*n+j] = w[p*n+j], w[k*n+j]
+			}
+		}
+		var er, uc []int32
+		for i := k + 1; i < n; i++ {
+			if w[i*n+k] {
+				er = append(er, int32(i))
+			}
+		}
+		for j := k + 1; j < n; j++ {
+			if w[k*n+j] {
+				uc = append(uc, int32(j))
+			}
+		}
+		sym.elim[k], sym.utail[k] = er, uc
+		for _, i := range er {
+			ri := w[int(i)*n : int(i)*n+n]
+			for _, j := range uc {
+				ri[j] = true
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		var lr, ur []int32
+		for j := 0; j < i; j++ {
+			if w[i*n+j] {
+				lr = append(lr, int32(j))
+			}
+		}
+		for j := i + 1; j < n; j++ {
+			if w[i*n+j] {
+				ur = append(ur, int32(j))
+			}
+		}
+		sym.lrow[i], sym.urow[i] = lr, ur
+		sym.nnz += len(lr) + len(ur) + 1
+	}
+	return sym
+}
+
+// checkAnalysis compares the workspace's current analysis with the
+// reference for the pivot sequence step.
+func checkAnalysis(t *testing.T, where string, slu *SparseLU, step []int32) {
+	t.Helper()
+	got, want := slu.sym, buildSymbolic(slu.pat, step)
+	if !int32sEqual(got.piv, step) {
+		t.Fatalf("%s: piv %v, want %v", where, got.piv, step)
+	}
+	for k := 0; k < slu.n; k++ {
+		for _, l := range []struct {
+			name      string
+			got, want []int32
+		}{
+			{"search", got.search(k), want.search[k]},
+			{"elim", got.elim(k), want.elim[k]},
+			{"utail", got.utail(k), want.utail[k]},
+			{"lrow", got.lrow(k), want.lrow[k]},
+			{"urow", got.urow(k), want.urow[k]},
+		} {
+			if !int32sEqual(l.got, l.want) {
+				t.Fatalf("%s: %s(%d) = %v, want %v", where, l.name, k, l.got, l.want)
+			}
+		}
+	}
+	if got.nnz != want.nnz {
+		t.Fatalf("%s: nnz %d, want %d", where, got.nnz, want.nnz)
+	}
+}
+
+// TestLearnMatchesReferenceSymbolic checks the learn pass against the
+// all-pairs reference: on randomized MNA systems whose pivots leave the
+// cached sequence at varied steps (as in TestSparseContinuationMatchesDense),
+// the analysis a Refactor leaves — learned from step 0, learned from
+// the mismatching step on top of the current analysis's prefix, found
+// in the memo, or switched to by the MRU retry — equals the reference
+// built from LU.Refactor's recorded pivot sequence.
+func TestLearnMatchesReferenceSymbolic(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	learnedFrom := map[int]bool{}
+	for trial := 0; trial < 80; trial++ {
+		s := randMNA(rng)
+		variants := make([]*mnaSystem, 2+rng.Intn(10))
+		for v := range variants {
+			c := *s
+			c.gvals = make([]float64, len(s.gvals))
+			for i, g := range s.gvals {
+				c.gvals[i] = g * math.Exp(rng.NormFloat64()*1.5)
+			}
+			variants[v] = &c
+		}
+		slu := NewSparseLU(s.pat)
+		ref := NewLU(s.n)
+		var model seqModel
+		dm := NewMatrix(s.n)
+		for rep := 0; rep < 30; rep++ {
+			variants[rng.Intn(len(variants))].assemble(dm, 1+float64(rep)*1e-3)
+			if ref.Refactor(dm) != nil {
+				break // a structurally singular draw stays singular
+			}
+			path, err := slu.Refactor(dm.Clone())
+			if err != nil {
+				t.Fatalf("trial %d rep %d: %v", trial, rep, err)
+			}
+			if want, k := model.expect(ref.step); want == FactorDense {
+				learnedFrom[k] = true
+			}
+			model.use(ref.step)
+			checkAnalysis(t, fmt.Sprintf("trial %d rep %d (%v)", trial, rep, path), slu, ref.step)
+		}
+	}
+	if len(learnedFrom) < 4 {
+		t.Fatalf("learn passes only from steps %v, want at least 4 distinct", learnedFrom)
+	}
+}
+
+// TestLearnKnownSequenceAllocs pins the memo-first contract of the learn
+// pass: once every sequence is known, a pass that leaves its analysis
+// for one the MRU no longer holds learns the rest of the structure in
+// the workspace's scratch, finds the sequence in the memo and
+// allocates nothing.
+func TestLearnKnownSequenceAllocs(t *testing.T) {
+	const n, seqs = 12, 10 // more sequences than the MRU holds
+	pat := NewPattern(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			pat.Mark(i, j)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	base := NewMatrix(n)
+	for i := range base.A {
+		base.A[i] = 0.1 + 0.9*rng.Float64()
+	}
+	// Steps 0 and 1 pivot on the diagonal; variant v pivots on row 2+v
+	// at step 2, so the sequences first differ at a step k > 0.
+	base.Set(0, 0, 100)
+	base.Set(1, 1, 100)
+	variants := make([]*Matrix, seqs)
+	for v := range variants {
+		variants[v] = base.Clone()
+		variants[v].Set(2+v, 2, 50)
+	}
+	slu := NewSparseLU(pat)
+	m := NewMatrix(n)
+	var paths [4]int
+	v := 0
+	next := func() {
+		copy(m.A, variants[v].A)
+		v = (v + 1) % seqs
+		path, err := slu.Refactor(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[path]++
+	}
+	for i := 0; i < 2*seqs; i++ {
+		next()
+	}
+	if slu.nCands != seqs {
+		t.Fatalf("memo holds %d analyses, want %d", slu.nCands, seqs)
+	}
+	paths = [4]int{}
+	if allocs := testing.AllocsPerRun(5*seqs, next); allocs != 0 {
+		t.Fatalf("learn pass over a known sequence: %v allocs per Refactor, want 0", allocs)
+	}
+	if paths[FactorDense] != 5*seqs+1 || slu.nCands != seqs {
+		t.Fatalf("paths %v, memo %d: want every pass to learn and hit the memo", paths, slu.nCands)
+	}
 }

@@ -70,16 +70,11 @@ func NewNominalFactor(ckt *netlist.Circuit, opt Options) (*NominalFactor, error)
 		lu:  e.sparseLU(netlist.DCOp),
 		opt: opt,
 	}
-	// Factor twice: the first Refactor runs dense and learns the pivot
-	// sequence, the second runs (and verifies) the sparse replay, which
-	// also arms the sparse triangular solves every fault solve uses.
-	// Each factors a fresh copy of the nominal matrix in the engine's
-	// own, where the factors then stay.
-	for i := 0; i < 2; i++ {
-		copy(e.a.A, nf.a.A)
-		if _, err := nf.lu.Refactor(e.a); err != nil {
-			return nil, fmt.Errorf("spice: nominal factorization: %w", err)
-		}
+	// One factorisation learns the pivot sequence and leaves its
+	// analysis armed for the sparse triangular solves every fault solve
+	// uses; the factors stay in the engine's own matrix.
+	if _, err := nf.lu.Refactor(e.a); err != nil {
+		return nil, fmt.Errorf("spice: nominal factorization: %w", err)
 	}
 	return nf, nil
 }

@@ -133,10 +133,11 @@ type Engine struct {
 	// slu holds the per-stamp-mode sparsity-aware factorisation
 	// workspaces (indexed by netlist.StampMode, lazily built from a
 	// pattern probe of the compiled stamp program). Each factorisation
-	// replays the cached elimination structure and continues densely
-	// from the first step whose pivot no known structure predicts;
-	// results are bit-identical either way. It factors a in place, so
-	// a holds the LU factors from a Refactor until the next assemble.
+	// replays the cached elimination structure and learns the structure
+	// over the stamp pattern from the first step whose pivot no known
+	// structure predicts; results are bit-identical either way. It
+	// factors a in place, so a holds the LU factors from a Refactor
+	// until the next assemble.
 	slu [2]*solver.SparseLU
 
 	// Transient snapshot arena: backing storage for Tran.Xs (and the
@@ -182,7 +183,11 @@ func New(ckt *netlist.Circuit, opt Options) *Engine {
 	e.nUnknowns = next
 
 	n := e.nUnknowns
-	e.a = solver.NewMatrix(n)
+	// The matrix may be one a released engine recycled: clear it, so
+	// every cell outside the stamp pattern holds the exact +0 the sparse
+	// factorisation relies on.
+	e.a = solver.TakeMatrix(n)
+	e.a.Zero()
 	e.b = make([]float64, n)
 	e.wx = make([]float64, n)
 	e.xNew = make([]float64, n)
@@ -238,6 +243,20 @@ func New(ckt *netlist.Circuit, opt Options) *Engine {
 	return e
 }
 
+// Release ends the engine's life: its n² MNA matrix goes back to the
+// solver's recycling pool, where the next engine of the same size takes
+// it. Call it only once every result that aliases engine-owned storage
+// has been read (a Solution owns its vector; a Tran aliases the
+// engine's snapshot arena, which is not recycled). A released engine
+// panics if it is analysed, or released, again.
+func (e *Engine) Release() {
+	if e.a == nil {
+		panic("spice: engine released twice")
+	}
+	solver.RecycleMatrix(e.a)
+	e.a = nil
+}
+
 // SetMetrics rebinds the engine's hot-path counter block. Pooled engines
 // are checked out by analyses that each own a Metrics block, so the
 // binding must follow the engine across checkouts; counters never feed
@@ -276,7 +295,7 @@ func (e *Engine) RetuneVSource(name string, w netlist.Waveform) error {
 // retained — node and aux numbering, the per-mode stamp programs, the
 // structural sparsity patterns and the sparse symbolic analyses (the
 // cached elimination is pivot-verified per factorisation with a
-// bit-identical dense continuation, so revalued matrices are
+// bit-identical learn pass behind it, so revalued matrices are
 // automatically safe on the cached structure). Only when an A-side
 // value actually changed (bitwise) is the A-side stamp recording
 // dropped; a revalue that moves only source waveforms keeps it, by the
@@ -457,6 +476,11 @@ func (s *Solution) I(vsrc string) float64 {
 // values and the capacitors' backward-Euler companions against xPrev —
 // stays valid for every iteration.
 func (e *Engine) beginSolve(mode netlist.StampMode, time, dt, gmin, srcScale float64, xPrev []float64) {
+	if e.a == nil {
+		// The stamping contexts still hold the recycled matrix, which
+		// another engine may own by now.
+		panic("spice: engine used after Release")
+	}
 	e.curProg = e.prog(mode)
 	e.curPrev = xPrev
 	e.recB = e.recB[:0]
