@@ -11,7 +11,6 @@ package adc
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // StuckNone marks a comparator that is not stuck.
@@ -47,6 +46,7 @@ type ADC struct {
 	sampleSeq uint64    // drives the deterministic Erratic toggles
 	thermo    []bool    // per-instance Convert scratch (ADC is not concurrency-safe)
 	pmax      []float64 // per-instance prefixMaxThresholds scratch
+	hist      []int     // per-instance HasMissingCode histogram
 }
 
 // New builds a fault-free n-tap ADC spanning [vlo, vhi]: n = 2^N for the
@@ -57,13 +57,25 @@ func New(n int, vlo, vhi float64) *ADC {
 		Taps:  make([]float64, n),
 		Comps: make([]Comparator, n),
 	}
-	for i := 0; i < n; i++ {
+	a.Reset(vlo, vhi)
+	return a
+}
+
+// Reset restores a, in place, to the fault-free converter New builds
+// with the same tap count over [vlo, vhi]: ideal taps, plain
+// comparators, the default decoder and the Erratic sequence at its
+// start. Only the scratch buffers survive, so a reset ADC converts
+// exactly as a new one.
+func (a *ADC) Reset(vlo, vhi float64) {
+	n := len(a.Taps)
+	for i := range a.Taps {
 		// Tap i at vlo + (i+0.5) LSB: code k spans one LSB around its
 		// centre.
 		a.Taps[i] = vlo + (float64(i)+0.5)*(vhi-vlo)/float64(n)
-		a.Comps[i].Stuck = StuckNone
+		a.Comps[i] = Comparator{Stuck: StuckNone}
 	}
-	return a
+	a.Decode = nil
+	a.sampleSeq = 0
 }
 
 // Codes returns the number of output codes (2^n taps → codes 0..n).
@@ -130,11 +142,11 @@ func (a *ADC) convertDefault(vin float64) int {
 // arbitrary (even non-monotonic, faulted) threshold vector is the
 // smallest i with vin <= t[i], which — because the prefix maximum is
 // non-decreasing and first reaches >= vin exactly at that i — equals
-// the lower-bound index of vin in this array. That turns the O(n)
-// convertDefault scan into an O(log n) binary search with bit-identical
-// results. Returns nil when any threshold is NaN (unordered against
-// everything, which the prefix maximum cannot represent); callers then
-// keep the linear scan.
+// the lower-bound index of vin in this array, so the ramp finds its
+// codes by walking one index along it (see sweep), with results
+// identical to the O(n) convertDefault scan. Returns nil when any
+// threshold is NaN (unordered against everything, which the prefix
+// maximum cannot represent); callers then keep the linear scan.
 func (a *ADC) prefixMaxThresholds() []float64 {
 	if cap(a.pmax) < len(a.Taps) {
 		a.pmax = make([]float64, len(a.Taps))
@@ -207,12 +219,49 @@ func (r *RampResult) HasMissing() bool { return len(r.Missing) > 0 }
 // number occurs.
 func (a *ADC) MissingCodeTest(vlo, vhi float64, samples int) *RampResult {
 	res := &RampResult{Hist: make([]int, a.Codes()), Samples: samples}
+	a.sweep(res.Hist, vlo, vhi, samples)
+	for code, n := range res.Hist {
+		if n == 0 {
+			res.Missing = append(res.Missing, code)
+		}
+	}
+	return res
+}
+
+// HasMissingCode runs MissingCodeTest's ramp and reports only whether a
+// code is missing: MissingCodeTest(vlo, vhi, samples).HasMissing(),
+// counted into a histogram the ADC keeps for its next test.
+func (a *ADC) HasMissingCode(vlo, vhi float64, samples int) bool {
+	if cap(a.hist) < a.Codes() {
+		a.hist = make([]int, a.Codes())
+	}
+	hist := a.hist[:a.Codes()]
+	clear(hist)
+	a.sweep(hist, vlo, vhi, samples)
+	for _, n := range hist {
+		if n == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// sweep samples the triangular ramp into hist (zeroed, len Codes()).
+// In the allDefault case each sample's code is the lower-bound index of
+// the sample in the prefix-maximum thresholds. Within each half of the
+// triangle the samples are monotone, so that index moves monotonically
+// too: one index walks along the array, and the whole ramp costs
+// O(samples + taps) instead of a binary search per sample. A NaN sample
+// (no threshold is >= it) counts in the last code, as a binary search
+// would count it.
+func (a *ADC) sweep(hist []int, vlo, vhi float64, samples int) {
 	span := vhi - vlo
 	over := 0.02 * span // sweep 2 % beyond the range ends
 	var pmax []float64
 	if a.allDefault() {
 		pmax = a.prefixMaxThresholds()
 	}
+	idx := 0
 	for i := 0; i < samples; i++ {
 		ph := 2 * float64(i) / float64(samples) // 0..2 → up and down
 		var v float64
@@ -221,18 +270,21 @@ func (a *ADC) MissingCodeTest(vlo, vhi float64, samples int) *RampResult {
 		} else {
 			v = vhi + over - (ph-1)*(span+2*over)
 		}
-		if pmax != nil {
-			res.Hist[sort.SearchFloat64s(pmax, v)]++
-		} else {
-			res.Hist[a.Convert(v)]++
+		switch {
+		case pmax == nil:
+			hist[a.Convert(v)]++
+		case v != v:
+			hist[len(pmax)]++
+		default:
+			for idx < len(pmax) && pmax[idx] < v {
+				idx++
+			}
+			for idx > 0 && pmax[idx-1] >= v {
+				idx--
+			}
+			hist[idx]++
 		}
 	}
-	for code, n := range res.Hist {
-		if n == 0 {
-			res.Missing = append(res.Missing, code)
-		}
-	}
-	return res
 }
 
 // INLDNL computes the integral and differential nonlinearity (in LSB) from

@@ -3,6 +3,8 @@ package adc
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -327,5 +329,124 @@ func TestFamilyInvariants(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// searchHist is the binary-search reference of the ramp: each sample's
+// code is sort.SearchFloat64s over the prefix-maximum thresholds in the
+// allDefault case, Convert otherwise.
+func searchHist(a *ADC, vlo, vhi float64, samples int) []int {
+	hist := make([]int, a.Codes())
+	span := vhi - vlo
+	over := 0.02 * span
+	var pmax []float64
+	if a.allDefault() {
+		pmax = a.prefixMaxThresholds()
+	}
+	for i := 0; i < samples; i++ {
+		ph := 2 * float64(i) / float64(samples)
+		var v float64
+		if ph <= 1 {
+			v = vlo - over + ph*(span+2*over)
+		} else {
+			v = vhi + over - (ph-1)*(span+2*over)
+		}
+		if pmax != nil {
+			hist[sort.SearchFloat64s(pmax, v)]++
+		} else {
+			hist[a.Convert(v)]++
+		}
+	}
+	return hist
+}
+
+// rampSample returns sample i of the ramp, as the sweep computes it.
+func rampSample(vlo, vhi float64, samples, i int) float64 {
+	span := vhi - vlo
+	over := 0.02 * span
+	ph := 2 * float64(i) / float64(samples)
+	if ph <= 1 {
+		return vlo - over + ph*(span+2*over)
+	}
+	return vhi + over - (ph-1)*(span+2*over)
+}
+
+// TestMissingCodeWalkMatchesSearch: the ramp's walked lower-bound index
+// fills the histogram exactly as a binary search per sample does, over
+// scrambled non-monotone thresholds, ties exactly at thresholds, ±Inf
+// thresholds, reversed and NaN ranges and 1 to 3 000 samples.
+// HasMissingCode agrees with MissingCodeTest, and an ADC reused through
+// Reset tests exactly as a new one.
+func TestMissingCodeWalkMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1995))
+	reused := New(64, vlo, vhi)
+	for c := 0; c < 3000; c++ {
+		n := 1 + rng.Intn(300)
+		lo, hi := vlo, vhi
+		switch c % 10 {
+		case 7:
+			lo, hi = vhi, vlo // reversed range: the halves run down, then up
+		case 9:
+			if c%20 == 9 {
+				lo = math.NaN()
+			}
+		}
+		samples := 1 + rng.Intn(3000)
+		if c < 2 {
+			samples = []int{1, 3000}[c]
+		}
+		a := New(n, lo, hi)
+		for i := range a.Taps {
+			switch r := rng.Intn(20); {
+			case r < 8:
+				// Scramble: a non-monotone threshold vector.
+				a.Taps[i] += (rng.Float64() - 0.5) * (vhi - vlo)
+				a.Comps[i].Offset = (rng.Float64() - 0.5) * 0.3
+			case r < 11:
+				// A tie: the threshold lands exactly on a sample.
+				a.Taps[i] = rampSample(lo, hi, samples, rng.Intn(samples))
+			case r == 11:
+				a.Taps[i] = math.Inf(1)
+			case r == 12:
+				a.Taps[i] = math.Inf(-1)
+			}
+		}
+		if c%25 == 3 {
+			a.Comps[rng.Intn(n)].Stuck = 1 // the Convert branch
+		}
+		if !a.allDefault() || a.prefixMaxThresholds() == nil {
+			// The scan branches cost n per sample in both histograms.
+			samples = 1 + samples%300
+		}
+		want := searchHist(a, lo, hi, samples)
+		res := a.MissingCodeTest(lo, hi, samples)
+		for code := range want {
+			if res.Hist[code] != want[code] {
+				t.Fatalf("case %d (n=%d, samples=%d, range %g..%g): code %d counted %d times, search counts %d",
+					c, n, samples, lo, hi, code, res.Hist[code], want[code])
+			}
+		}
+		if got := a.HasMissingCode(lo, hi, samples); got != res.HasMissing() {
+			t.Fatalf("case %d: HasMissingCode = %v, MissingCodeTest missing %v", c, got, res.Missing)
+		}
+
+		// The same converter rebuilt in a reused ADC via Reset.
+		if len(reused.Taps) != n {
+			reused = New(n, vlo, vhi)
+			reused.Comps[0].Erratic = true
+			reused.Decode = CountingDecode
+			reused.Convert(vlo)
+		}
+		reused.Reset(lo, hi)
+		b := New(n, lo, hi)
+		if fmt.Sprint(reused.Taps) != fmt.Sprint(b.Taps) || !reflect.DeepEqual(reused.Comps, b.Comps) ||
+			reused.Decode != nil || reused.sampleSeq != b.sampleSeq {
+			t.Fatalf("case %d: Reset(%g, %g) differs from New", c, lo, hi)
+		}
+		copy(reused.Taps, a.Taps)
+		copy(reused.Comps, a.Comps)
+		if got := reused.HasMissingCode(lo, hi, samples); got != res.HasMissing() {
+			t.Fatalf("case %d: reused HasMissingCode = %v, want %v", c, got, res.HasMissing())
+		}
 	}
 }

@@ -534,7 +534,7 @@ func propagateSlice(veh Vehicle, resp *signature.Response) bool {
 	default:
 		return false
 	}
-	return a.MissingCodeTest(VRefLo, VRefHi, veh.TestSamples()).HasMissing()
+	return a.HasMissingCode(VRefLo, VRefHi, veh.TestSamples())
 }
 
 // bisectOffset locates the comparator trip point (input-referred offset

@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/process"
 	"repro/internal/signature"
+	"repro/internal/solver"
 	"repro/internal/spice"
 )
 
@@ -87,17 +88,30 @@ func (l *LadderMacro) buildLadderInto(b *netlist.Builder, v Variation) {
 	}
 }
 
-// solveTaps returns the tap voltages and terminal currents. Faulted
-// solves first try the low-rank update path against the variation's
-// shared nominal factorization; faults it cannot express (topology
-// changes, ill-conditioned corrections) fall through to the classic
+// ladderWork is the scratch of one ladder class analysis: the tap
+// vector, the behavioural ADC and the low-rank solve's workspace.
+// Respond takes one from ladderWorks for its whole analysis and puts it
+// back at the end; nothing of the response aliases it.
+type ladderWork struct {
+	taps []float64
+	adc  *adc.ADC
+	upd  spice.UpdateWork
+}
+
+var ladderWorks = sync.Pool{New: func() any { return new(ladderWork) }}
+
+// solveTaps writes the tap voltages into taps (one per tap, 0..2^N) and
+// returns the terminal currents. Faulted solves first try the low-rank
+// update path, in the workspace uw, against the variation's shared
+// nominal factorization; faults it cannot express (topology changes,
+// ill-conditioned corrections) fall through to the classic
 // build-inject-refactor path below, which is also the path of every
 // fault-free solve.
-func (l *LadderMacro) solveTaps(ctx context.Context, f *faults.Fault, opt RespondOpts) (taps []float64, ihi, ilo float64, err error) {
+func (l *LadderMacro) solveTaps(ctx context.Context, f *faults.Fault, opt RespondOpts, taps []float64, uw *spice.UpdateWork) (ihi, ilo float64, err error) {
 	rank1Fallback := false
 	if f != nil && opt.Base != nil {
-		if taps, ihi, ilo, ok, err := l.solveTapsUpdated(ctx, f, opt); ok {
-			return taps, ihi, ilo, err
+		if ihi, ilo, ok, err := l.solveTapsUpdated(ctx, f, opt, taps, uw); ok {
+			return ihi, ilo, err
 		}
 		rank1Fallback = true
 	}
@@ -115,7 +129,7 @@ func (l *LadderMacro) solveTaps(ctx context.Context, f *faults.Fault, opt Respon
 	})
 	sp.End()
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
 	// Release only after the tap voltages are copied out: the Solution
 	// below aliases engine-owned storage.
@@ -124,13 +138,12 @@ func (l *LadderMacro) solveTaps(ctx context.Context, f *faults.Fault, opt Respon
 	sol, err := eng.OP(ctx)
 	sp.End()
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
-	taps = make([]float64, l.Veh.LadderSegments()+1)
 	for k := range taps {
 		taps[k] = sol.V(tapName(k))
 	}
-	return taps, sol.I("vrefhi"), sol.I("vreflo"), nil
+	return sol.I("vrefhi"), sol.I("vreflo"), nil
 }
 
 // solveTapsUpdated is the rank-k fast path of solveTaps: it expresses
@@ -142,9 +155,9 @@ func (l *LadderMacro) solveTaps(ctx context.Context, f *faults.Fault, opt Respon
 // cancellation, in practice) with the same semantics as the classic
 // path. Results agree with the classic path within the Newton
 // convergence contract; the bit-identity story is in DESIGN.md §10.
-func (l *LadderMacro) solveTapsUpdated(ctx context.Context, f *faults.Fault, opt RespondOpts) (taps []float64, ihi, ilo float64, ok bool, err error) {
+func (l *LadderMacro) solveTapsUpdated(ctx context.Context, f *faults.Fault, opt RespondOpts, taps []float64, uw *spice.UpdateWork) (ihi, ilo float64, ok bool, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, true, err
+		return 0, 0, true, err
 	}
 	sp := opt.span(obs.StageInject, l.Name())
 	nf, _, err := opt.Base.orNone().ladderFactor.Do(ctx, opt.Var, func() (*spice.NominalFactor, error) {
@@ -153,50 +166,53 @@ func (l *LadderMacro) solveTapsUpdated(ctx context.Context, f *faults.Fault, opt
 	if err != nil {
 		sp.End()
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, 0, 0, true, ctxErr
+			return 0, 0, true, ctxErr
 		}
-		return nil, 0, 0, false, nil
+		return 0, 0, false, nil
 	}
 	plan, err := faults.Plan(nf.Ckt(), *f, procShared, faults.InjectOptions{NonCat: opt.NonCat})
 	if err != nil || plan.TopologyChanged {
 		// A malformed fault errors identically out of the classic path's
 		// Inject; a topology change needs the rebuilt system.
 		sp.End()
-		return nil, 0, 0, false, nil
+		return 0, 0, false, nil
 	}
 	upd, updatable := nf.UpdateFor(plan.Added)
 	sp.End()
 	if !updatable {
-		return nil, 0, 0, false, nil
+		return 0, 0, false, nil
 	}
 	sp = opt.span(obs.StageFaultSim, l.Name())
-	sol, err := nf.SolveUpdated(upd)
+	sol, err := nf.SolveUpdated(upd, uw)
 	if err != nil {
 		sp.End()
 		// Ill-conditioned correction or non-convergence: let the classic
 		// path refactor from scratch (reproducing a genuine failure with
 		// classic semantics if the system really is unsolvable).
-		return nil, 0, 0, false, nil
+		return 0, 0, false, nil
 	}
 	opt.Metrics.Add(obs.CtrRank1Solves, 1)
 	sp.End()
-	taps = make([]float64, l.Veh.LadderSegments()+1)
 	for k := range taps {
 		taps[k] = sol.V(tapName(k))
 	}
-	return taps, sol.I("vrefhi"), sol.I("vreflo"), true, nil
+	return sol.I("vrefhi"), sol.I("vreflo"), true, nil
 }
 
 // nominalTaps returns the fault-free tap voltages under opt's variation,
 // through the baseline cache when one is attached — every class analysis
 // needs the same reference vector, so the good machine is solved once
 // per variation instead of once per class. The cached slice is shared
-// read-only; the circuit is fully determined by the variation (the
-// ladder has no DfT variant), so a hit is bit-for-bit a recompute.
+// read-only, so it is a slice of its own, never a work's; the circuit
+// is fully determined by the variation (the ladder has no DfT variant),
+// so a hit is bit-for-bit a recompute.
 func (l *LadderMacro) nominalTaps(ctx context.Context, opt RespondOpts) ([]float64, error) {
 	taps, hit, err := opt.Base.orNone().ladderTaps.Do(ctx, opt.Var, func() ([]float64, error) {
-		taps, _, _, err := l.solveTaps(ctx, nil, opt)
-		return taps, err
+		taps := make([]float64, l.Veh.LadderSegments()+1)
+		if _, _, err := l.solveTaps(ctx, nil, opt, taps, nil); err != nil {
+			return nil, err
+		}
+		return taps, nil
 	})
 	opt.countBaselineHit(hit, l.Name())
 	return taps, err
@@ -206,10 +222,14 @@ func (l *LadderMacro) nominalTaps(ctx context.Context, opt RespondOpts) ([]float
 // propagating the faulty tap voltages through the high-level ADC model
 // (ideal comparators, faulty references) and running the missing-code
 // test; the current signature is the deviation of the reference-terminal
-// currents.
+// currents. The whole analysis runs in one pooled ladderWork.
 func (l *LadderMacro) Respond(ctx context.Context, f *faults.Fault, opt RespondOpts) (*signature.Response, error) {
+	w := ladderWorks.Get().(*ladderWork)
+	defer ladderWorks.Put(w)
 	resp := &signature.Response{Currents: map[string]float64{}}
-	taps, ihi, ilo, err := l.solveTaps(ctx, f, opt)
+	w.taps = solver.Grow(w.taps, l.Veh.LadderSegments()+1)
+	taps := w.taps
+	ihi, ilo, err := l.solveTaps(ctx, f, opt, taps, &w.upd)
 	if err != nil {
 		if f == nil || spice.IsCancelled(err) {
 			return nil, err
@@ -236,7 +256,12 @@ func (l *LadderMacro) Respond(ctx context.Context, f *faults.Fault, opt RespondO
 	defer csp.End()
 	worst := 0.0
 	n := l.Veh.Comparators()
-	a := adc.New(n, VRefLo, VRefHi)
+	if w.adc == nil || len(w.adc.Taps) != n {
+		w.adc = adc.New(n, VRefLo, VRefHi)
+	} else {
+		w.adc.Reset(VRefLo, VRefHi)
+	}
+	a := w.adc
 	for k := 0; k < n; k++ {
 		// Comparator k compares against tap k+... the behavioural
 		// model's tap i is the threshold of slice i; our string tap
@@ -250,7 +275,7 @@ func (l *LadderMacro) Respond(ctx context.Context, f *faults.Fault, opt RespondO
 		}
 	}
 	resp.OffsetV = worst
-	if a.MissingCodeTest(VRefLo, VRefHi, l.Veh.TestSamples()).HasMissing() {
+	if a.HasMissingCode(VRefLo, VRefHi, l.Veh.TestSamples()) {
 		resp.MissingCode = true
 		resp.Voltage = signature.VSigOffset
 		if worst > 10*l.Veh.LSB() {

@@ -6,9 +6,9 @@ import (
 	"math"
 )
 
-// ErrIllConditioned is returned by NewUpdatedSolver when the Woodbury
-// capacitance matrix is singular or too close to it for the correction
-// to be trustworthy. Callers treat it as "this fault needs the full
+// ErrIllConditioned is returned by NewUpdatedSolver and Reset when the
+// Woodbury capacitance matrix is singular or too close to it for the
+// correction to be trustworthy. Callers treat it as "this fault needs the full
 // refactor path", not as a failure of the underlying system: the
 // updated matrix may be perfectly solvable from scratch even when the
 // low-rank correction against this particular base is not.
@@ -57,10 +57,12 @@ const condLimit = 1e12
 // The nominal SparseLU is used strictly read-only (SolveInto only), so
 // any number of UpdatedSolvers — across goroutines — may share one
 // factorization; each solver owns its own W, capacitance factor and
-// scratch. Construction performs the k nominal solves for W and the
-// dense k×k factorization; each SolveInto then costs one nominal solve
-// plus O(n·k), with one residual-refinement pass (see Refine) to pull
-// the SMW result to the accuracy of a direct factorization.
+// scratch. Preparation (NewUpdatedSolver or Reset) performs the k
+// nominal solves for W and the dense k×k factorization; each SolveInto
+// then costs one nominal solve plus O(n·k), with one residual-refinement
+// pass to pull the SMW result to the accuracy of a direct factorization.
+// A solver is reusable: Reset re-prepares it for another update in the
+// buffers the previous one left, growing them only when too small.
 type UpdatedSolver struct {
 	base *SparseLU
 	// nom holds the nominal matrix values; together with base's stamp
@@ -80,52 +82,67 @@ type UpdatedSolver struct {
 	// must see: a rank-1 C that cancels to 1e-14 has κ∞(C) = 1 but
 	// amplifies the correction by 1e14.
 	capScale float64
-	// Refine is the number of iterative-refinement passes SolveInto
-	// runs after the plain SMW correction (default 1). Each pass costs
-	// one sparse residual, one nominal solve and one k×k solve, and
-	// squares down the correction error; 1 pass brings the solution to
-	// within a few ulps of the direct factorization for conductance
-	// updates far from the condition guard.
-	Refine int
-	y, r   []float64
-	t, z   []float64
+	y, r     []float64
+	t, z     []float64
+	// inv and e are capCondInf's scratch: C⁻¹ column-major and the unit
+	// column (all zero between uses).
+	inv, e []float64
 }
 
+// refinePasses is the number of iterative-refinement passes SolveInto
+// runs after the plain SMW correction. Each pass costs one sparse
+// residual, one nominal solve and one k×k solve, and squares down the
+// correction error; one pass brings the solution to within a few ulps
+// of the direct factorization for conductance updates far from the
+// condition guard.
+const refinePasses = 1
+
 // NewUpdatedSolver prepares the Woodbury correction of upd against the
-// factored nominal system. base must hold a successful factorization of
-// nom (they are not cross-checked beyond size). Returns
-// ErrIllConditioned (wrapped) when a term is non-finite, a term index
-// is out of range, or the capacitance matrix is singular or has
-// κ∞ > 1e12 — the caller's cue to refactor from scratch instead.
+// factored nominal system: a new solver, then Reset.
 func NewUpdatedSolver(base *SparseLU, nom *Matrix, upd LowRankUpdate) (*UpdatedSolver, error) {
+	s := &UpdatedSolver{}
+	if err := s.Reset(base, nom, upd); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset re-prepares s, in place, as the Woodbury correction of upd
+// against the factored nominal system. base must hold a successful
+// factorization of nom (they are not cross-checked beyond size). The
+// scratch vectors and W grow only when too small, and the k×k
+// capacitance buffers are kept when k is unchanged; the arithmetic is
+// that of a fresh solver. Returns ErrIllConditioned (wrapped) when a
+// term is non-finite, a term index is out of range, or the capacitance
+// matrix is singular or has κ∞ > 1e12 — the caller's cue to refactor
+// from scratch instead. After an error s must be Reset again before
+// use.
+func (s *UpdatedSolver) Reset(base *SparseLU, nom *Matrix, upd LowRankUpdate) error {
 	n := base.N()
 	if nom.N != n {
-		return nil, fmt.Errorf("solver: updated solver: nominal matrix is %d×%d, factorization is %d×%d", nom.N, nom.N, n, n)
+		return fmt.Errorf("solver: updated solver: nominal matrix is %d×%d, factorization is %d×%d", nom.N, nom.N, n, n)
 	}
 	k := len(upd.Terms)
-	s := &UpdatedSolver{
-		base:   base,
-		nom:    nom,
-		terms:  append([]UpdateTerm(nil), upd.Terms...),
-		k:      k,
-		Refine: 1,
-		y:      make([]float64, n),
-		r:      make([]float64, n),
-	}
+	s.base, s.nom, s.k, s.capScale = base, nom, k, 0
+	s.terms = append(s.terms[:0], upd.Terms...)
+	s.y = Grow(s.y, n)
+	// r doubles as the ±1 column scratch below, which must start zero.
+	s.r = Grow(s.r, n)
+	clear(s.r)
 	if k == 0 {
-		return s, nil // the update is empty; SolveInto degenerates to base
+		return nil // the update is empty; SolveInto degenerates to base
 	}
 	for _, t := range upd.Terms {
 		if t.I < 0 || t.I >= n || t.J < GroundTerm || t.J >= n || t.I == t.J {
-			return nil, fmt.Errorf("%w: term (%d,%d) out of range for n=%d", ErrIllConditioned, t.I, t.J, n)
+			return fmt.Errorf("%w: term (%d,%d) out of range for n=%d", ErrIllConditioned, t.I, t.J, n)
 		}
 		if math.IsNaN(t.G) || math.IsInf(t.G, 0) {
-			return nil, fmt.Errorf("%w: non-finite conductance %g", ErrIllConditioned, t.G)
+			return fmt.Errorf("%w: non-finite conductance %g", ErrIllConditioned, t.G)
 		}
 	}
-	s.w = make([]float64, n*k)
-	s.t = make([]float64, k)
-	s.z = make([]float64, k)
+	s.w = Grow(s.w, n*k)
+	s.t = Grow(s.t, k)
+	s.z = Grow(s.z, k)
 	// W = A⁻¹U, one nominal solve per column; e is the ±1 column of U,
 	// rebuilt (and re-zeroed) in place.
 	e := s.r
@@ -142,7 +159,9 @@ func NewUpdatedSolver(base *SparseLU, nom *Matrix, upd LowRankUpdate) (*UpdatedS
 	}
 	// C = I + VᵀW with v_s = g_s·(e_Is − e_Js):
 	// C[s][t] = δ_st + g_s·(W_t[I_s] − W_t[J_s]).
-	s.capM = NewMatrix(k)
+	if s.capM == nil || s.capM.N != k {
+		s.capM, s.capF = NewMatrix(k), NewLU(k)
+	}
 	for row, vs := range upd.Terms {
 		rowAbs := 0.0
 		for col := 0; col < k; col++ {
@@ -161,14 +180,22 @@ func NewUpdatedSolver(base *SparseLU, nom *Matrix, upd LowRankUpdate) (*UpdatedS
 		}
 		s.capScale = math.Max(s.capScale, rowAbs)
 	}
-	s.capF = NewLU(k)
 	if err := s.capF.Refactor(s.capM); err != nil {
-		return nil, fmt.Errorf("%w: capacitance matrix: %v", ErrIllConditioned, err)
+		return fmt.Errorf("%w: capacitance matrix: %v", ErrIllConditioned, err)
 	}
 	if cond := s.capCondInf(); cond > condLimit {
-		return nil, fmt.Errorf("%w: capacitance matrix κ∞ ≈ %.3g", ErrIllConditioned, cond)
+		return fmt.Errorf("%w: capacitance matrix κ∞ ≈ %.3g", ErrIllConditioned, cond)
 	}
-	return s, nil
+	return nil
+}
+
+// Grow returns buf resliced to length n, reallocated (zeroed) only when
+// its capacity is too small; a reused buffer keeps its old contents.
+func Grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // capCondInf bounds the correction's amplification as capScale·‖C⁻¹‖∞,
@@ -180,8 +207,9 @@ func NewUpdatedSolver(base *SparseLU, nom *Matrix, upd LowRankUpdate) (*UpdatedS
 // O(1)-or-larger summands).
 func (s *UpdatedSolver) capCondInf() float64 {
 	k := s.k
-	inv := make([]float64, k*k) // column-major C⁻¹
-	e := make([]float64, k)
+	s.inv = Grow(s.inv, k*k) // column-major C⁻¹
+	s.e = Grow(s.e, k)
+	inv, e := s.inv, s.e
 	for j := 0; j < k; j++ {
 		e[j] = 1
 		s.capF.SolveInto(inv[j*k:(j+1)*k], e)
@@ -256,7 +284,7 @@ func (s *UpdatedSolver) ResidualInf(x, b []float64) float64 {
 }
 
 // SolveInto solves (A + UVᵀ)·x = b into the caller-provided x (len n),
-// then runs Refine refinement passes. b is not modified; x must not
+// then runs the refinement pass. b is not modified; x must not
 // alias b (panics on the exact-overlap case) and must not alias the
 // solver's own scratch. Safe for concurrent use only in the sense that
 // distinct UpdatedSolvers never interfere; one solver is single-
@@ -268,7 +296,7 @@ func (s *UpdatedSolver) SolveInto(x, b []float64) []float64 {
 		return x
 	}
 	s.correct(x)
-	for pass := 0; pass < s.Refine; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		s.residualInto(s.r, x, b)
 		s.base.SolveInto(s.y, s.r)
 		s.correct(s.y)

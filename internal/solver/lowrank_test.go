@@ -208,3 +208,51 @@ func TestUpdatedSolverEmptyUpdate(t *testing.T) {
 	want := base.Solve(b)
 	bitsEqual(t, "empty-update solve", got, want)
 }
+
+// TestUpdatedSolverResetMatchesFresh: one solver Reset across updates of
+// varying size and rank — an empty update, a refused one and systems of
+// another n in between — solves bit for bit as a new solver of each
+// update does, and refuses exactly what a new solver refuses.
+func TestUpdatedSolverResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	reused := &UpdatedSolver{}
+	for trial := 0; trial < 200; trial++ {
+		n := 4 + rng.Intn(24)
+		pat, m := randPatterned(rng, n)
+		base := armedSparseLU(t, pat, m)
+		var upd LowRankUpdate
+		for s := rng.Intn(4); s > 0; s-- {
+			i := rng.Intn(n)
+			j := rng.Intn(n+1) - 1
+			for j == i {
+				j = rng.Intn(n+1) - 1
+			}
+			upd.Terms = append(upd.Terms, UpdateTerm{I: i, J: j, G: math.Exp(rng.NormFloat64() * 3)})
+		}
+		if trial%17 == 5 {
+			upd.Terms = append(upd.Terms, UpdateTerm{I: 0, J: 1, G: math.NaN()})
+		}
+		fresh, errFresh := NewUpdatedSolver(base, m, upd)
+		errReused := reused.Reset(base, m, upd)
+		if (errFresh == nil) != (errReused == nil) {
+			t.Fatalf("trial %d: new solver error %v, Reset error %v", trial, errFresh, errReused)
+		}
+		if errFresh != nil {
+			continue
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		want, got := fresh.Solve(b), reused.Solve(b)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (n=%d, k=%d): x[%d] = %v after Reset, %v from a new solver",
+					trial, n, upd.Rank(), i, got[i], want[i])
+			}
+		}
+		if r, w := reused.ResidualInf(got, b), fresh.ResidualInf(want, b); math.Float64bits(r) != math.Float64bits(w) {
+			t.Fatalf("trial %d: residual %v after Reset, %v from a new solver", trial, r, w)
+		}
+	}
+}

@@ -48,9 +48,8 @@ func matrixPool(n int) *sync.Pool {
 	return p
 }
 
-// TakeMatrix returns an n×n matrix recycled by RecycleMatrix, or a new
-// zero one when none is pooled. A recycled matrix holds whatever its
-// previous owner left in it; the caller clears it as it needs.
+// TakeMatrix returns an n×n zero matrix: one recycled by RecycleMatrix,
+// or a new one when none is pooled.
 func TakeMatrix(n int) *Matrix {
 	if m, ok := matrixPool(n).Get().(*Matrix); ok {
 		return m
@@ -58,8 +57,8 @@ func TakeMatrix(n int) *Matrix {
 	return NewMatrix(n)
 }
 
-// RecycleMatrix hands m to the pool for a later TakeMatrix of its size.
-// The caller must not touch m afterwards.
+// RecycleMatrix hands m, which must be all +0, to the pool for a later
+// TakeMatrix of its size. The caller must not touch m afterwards.
 func RecycleMatrix(m *Matrix) { matrixPool(m.N).Put(m) }
 
 // At returns element (i, j).

@@ -592,6 +592,25 @@ func (s *SparseLU) SolveInto(x, b []float64) []float64 {
 	return x
 }
 
+// ClearFactors sets to +0 every cell of m that the last successful
+// Refactor(m) can have left nonzero: the diagonal and the filled L and U
+// cells of its analysis. Every other cell already held +0 before that
+// factorisation (the pattern contract) and the elimination writes only
+// filled cells, so m is all +0 afterwards, as after m.Zero().
+func (s *SparseLU) ClearFactors(m *Matrix) {
+	n := s.n
+	for i := 0; i < n; i++ {
+		row := m.A[i*n : i*n+n]
+		row[i] = 0
+		for _, j := range s.sym.lrow(i) {
+			row[j] = 0
+		}
+		for _, j := range s.sym.urow(i) {
+			row[j] = 0
+		}
+	}
+}
+
 // Solve returns x with A·x = b for the factored A. b is not modified.
 func (s *SparseLU) Solve(b []float64) []float64 {
 	return s.SolveInto(make([]float64, s.n), b)

@@ -20,7 +20,8 @@ var ErrNotLinear = errors.New("spice: circuit is not linear")
 // the assembled MNA matrix (convergence leak included), the right-hand
 // side and a sparse factorization, all frozen at construction; every
 // later operation is read-only, so any number of goroutines may solve
-// fault variants against one NominalFactor concurrently.
+// fault variants against one NominalFactor concurrently, each in its
+// own UpdateWork.
 //
 // The embedded engine exists only for its name tables (node → unknown,
 // vsource → aux index) and its MNA matrix, which holds the in-place
@@ -124,6 +125,17 @@ func (nf *NominalFactor) UpdateFor(added []netlist.Element) (solver.LowRankUpdat
 	return upd, true
 }
 
+// UpdateWork is the caller-owned workspace of SolveUpdated: the
+// Woodbury solver, the two n-vectors of the damped walk and the
+// Solution header. The zero value is ready; its buffers grow to the
+// largest circuit it has served. One UpdateWork serves one solve at a
+// time.
+type UpdateWork struct {
+	us      solver.UpdatedSolver
+	xNew, x []float64
+	sol     Solution
+}
+
 // SolveUpdated computes the DC operating point of the nominal circuit
 // plus the given conductance update, using the shared factorization and
 // a Sherman–Morrison–Woodbury correction instead of rebuilding and
@@ -132,6 +144,10 @@ func (nf *NominalFactor) UpdateFor(added []netlist.Element) (solver.LowRankUpdat
 // classic path", which will either solve the system from scratch or
 // reproduce the genuine failure with classic semantics.
 //
+// Every buffer of the solve is w's; the factor itself is only read.
+// The returned Solution aliases w: read it before w serves another
+// solve.
+//
 // The returned Solution matches the classic path within the Newton
 // convergence contract, not bit-for-bit: the classic path's converged
 // iterate is its final LU solve vector walked to under MaxStep damping,
@@ -139,13 +155,14 @@ func (nf *NominalFactor) UpdateFor(added []netlist.Element) (solver.LowRankUpdat
 // solve vector, which agrees with the LU vector to solver accuracy
 // (one refinement pass) — far inside the AbsTol/RelTol contract. See
 // DESIGN.md §10 for why every consumer quantizes the difference away.
-func (nf *NominalFactor) SolveUpdated(upd solver.LowRankUpdate) (*Solution, error) {
-	us, err := solver.NewUpdatedSolver(nf.lu, nf.a, upd)
-	if err != nil {
+func (nf *NominalFactor) SolveUpdated(upd solver.LowRankUpdate, w *UpdateWork) (*Solution, error) {
+	us := &w.us
+	if err := us.Reset(nf.lu, nf.a, upd); err != nil {
 		return nil, err
 	}
 	n := nf.e.nUnknowns
-	xNew := make([]float64, n)
+	w.xNew = solver.Grow(w.xNew, n)
+	xNew := w.xNew
 	us.SolveInto(xNew, nf.b)
 	for _, v := range xNew {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -169,7 +186,9 @@ func (nf *NominalFactor) SolveUpdated(upd solver.LowRankUpdate) (*Solution, erro
 	// steps against the SMW target reproduces the trajectory (and the
 	// convergence decision) with the target's accuracy.
 	o := nf.opt
-	x := make([]float64, n)
+	w.x = solver.Grow(w.x, n)
+	x := w.x
+	clear(x)
 	nNode := nf.e.nNodeVars
 	for iter := 0; iter < o.MaxIter; iter++ {
 		conv := true
@@ -194,7 +213,8 @@ func (nf *NominalFactor) SolveUpdated(upd solver.LowRankUpdate) (*Solution, erro
 			x[i] += dx
 		}
 		if conv {
-			return &Solution{e: nf.e, X: x}, nil
+			w.sol = Solution{e: nf.e, X: x}
+			return &w.sol, nil
 		}
 	}
 	return nil, ErrNoConvergence

@@ -108,6 +108,11 @@ type Engine struct {
 	subX   []float64      // transient local-refinement iterate
 	retryX []float64      // tranStep elevated-gmin intermediate
 
+	// aState and aLU record which cells of a can be nonzero, so assemble
+	// clears only those (see clearA).
+	aState matState
+	aLU    *solver.SparseLU
+
 	// Recorded linear-element ops for the current Newton solve, with
 	// per-linear-segment end offsets (parallel to the program's linear
 	// segments, in order).
@@ -156,6 +161,11 @@ type Engine struct {
 	acB  []complex128
 	aclu *solver.CLU
 
+	// checkAssemble, when set, runs at the end of every assemble with
+	// the iterate and the matrix state it started from (a test seam for
+	// the clear rule).
+	checkAssemble func(x []float64, from matState)
+
 	// Persistent stamping contexts: liveCtx accumulates straight into
 	// a/b (nonlinear per-iteration stamps), recCtx appends to recA/recB
 	// (linear once-per-solve recording). Their closures are built once
@@ -166,6 +176,21 @@ type Engine struct {
 	curX    []float64
 	curPrev []float64
 }
+
+// matState is what the MNA matrix can hold between assemblies.
+type matState uint8
+
+const (
+	// matUnknown: any cell may be nonzero (after an assembly that was not
+	// factored, a failed or cancelled factorisation, or a Revalue).
+	matUnknown matState = iota
+	// matClean: every cell is +0 (a new engine, whose matrix is new or
+	// was cleared on its last owner's Release).
+	matClean
+	// matFactored: the factors of aLU's last successful Refactor, which
+	// are nonzero only in that analysis's filled cells.
+	matFactored
+)
 
 // New prepares an engine for the circuit.
 func New(ckt *netlist.Circuit, opt Options) *Engine {
@@ -183,11 +208,11 @@ func New(ckt *netlist.Circuit, opt Options) *Engine {
 	e.nUnknowns = next
 
 	n := e.nUnknowns
-	// The matrix may be one a released engine recycled: clear it, so
-	// every cell outside the stamp pattern holds the exact +0 the sparse
+	// A recycled matrix comes back all +0 (Release clears it), so every
+	// cell outside the stamp pattern holds the exact +0 the sparse
 	// factorisation relies on.
 	e.a = solver.TakeMatrix(n)
-	e.a.Zero()
+	e.aState = matClean
 	e.b = make([]float64, n)
 	e.wx = make([]float64, n)
 	e.xNew = make([]float64, n)
@@ -245,14 +270,16 @@ func New(ckt *netlist.Circuit, opt Options) *Engine {
 
 // Release ends the engine's life: its n² MNA matrix goes back to the
 // solver's recycling pool, where the next engine of the same size takes
-// it. Call it only once every result that aliases engine-owned storage
-// has been read (a Solution owns its vector; a Tran aliases the
-// engine's snapshot arena, which is not recycled). A released engine
-// panics if it is analysed, or released, again.
+// it, cleared by the same rule as an assembly. Call it only once every
+// result that aliases engine-owned storage has been read (a Solution
+// owns its vector; a Tran aliases the engine's snapshot arena, which is
+// not recycled). A released engine panics if it is analysed, or
+// released, again.
 func (e *Engine) Release() {
 	if e.a == nil {
 		panic("spice: engine released twice")
 	}
+	e.clearA()
 	solver.RecycleMatrix(e.a)
 	e.a = nil
 }
@@ -316,6 +343,7 @@ func (e *Engine) Revalue(src *netlist.Circuit) error {
 	if aChanged {
 		e.recValid = false
 	}
+	e.aState = matUnknown
 	if e.slu[netlist.DCOp] != nil || e.slu[netlist.Transient] != nil {
 		// The revalued solves will reuse a learned symbolic analysis
 		// instead of re-probing the pattern and re-learning.
@@ -519,6 +547,9 @@ func (e *Engine) beginSolve(mode netlist.StampMode, time, dt, gmin, srcScale flo
 					it.BS.StampB(rc, it.AuxBase)
 				} else {
 					it.El.Stamp(rc, it.AuxBase)
+					// The sink writes pattern cells that the last
+					// factorisation's filled cells need not cover.
+					e.aState = matUnknown
 				}
 			}
 		} else {
@@ -544,7 +575,17 @@ func (e *Engine) beginSolve(mode netlist.StampMode, time, dt, gmin, srcScale flo
 // floating-point accumulation order matches naive per-element stamping
 // bit for bit.
 func (e *Engine) assemble(x []float64) {
-	e.a.Zero()
+	from := e.aState
+	e.clearA()
+	e.accumulate(x)
+	if e.checkAssemble != nil {
+		e.checkAssemble(x, from)
+	}
+}
+
+// accumulate stamps the system at iterate x into the cleared matrix and
+// the right-hand side, which it clears itself.
+func (e *Engine) accumulate(x []float64) {
 	b := e.b
 	for i := range b {
 		b[i] = 0
@@ -580,6 +621,22 @@ func (e *Engine) assemble(x []float64) {
 	}
 }
 
+// clearA sets the MNA matrix to +0 before an assembly, writing only the
+// cells that can be nonzero: none on a new engine, the filled cells of
+// the last factorisation's analysis after a successful Refactor (a
+// handful per row, where the matrix has n), every cell otherwise. The
+// assembled matrix is in no state clearA can use until it is factored.
+func (e *Engine) clearA() {
+	switch e.aState {
+	case matClean:
+	case matFactored:
+		e.aLU.ClearFactors(e.a)
+	default:
+		e.a.Zero()
+	}
+	e.aState, e.aLU = matUnknown, nil
+}
+
 // newton runs Newton–Raphson from x0 and writes the converged vector into
 // dst on success (dst is untouched on failure). dst may alias x0 and —
 // because xPrev is only read while recording the linear stamps up front —
@@ -602,6 +659,7 @@ func (e *Engine) newton(dst, x0, xPrev []float64, mode netlist.StampMode,
 		if err != nil {
 			return fmt.Errorf("iter %d: %w", iter, err)
 		}
+		e.aState, e.aLU = matFactored, lu
 		if path.Sparse() {
 			e.met.Add(obs.CtrSparseFactorHits, 1)
 		} else {
