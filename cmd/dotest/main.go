@@ -22,7 +22,7 @@
 //
 // Every run executes on the campaign engine: per-macro sprinkles and
 // per-class fault simulations are units on a work-stealing pool.
-// -workers bounds that pool and the good-space Monte Carlo's die group
+// -workers bounds that pool and the good-space Monte Carlo's die units
 // (0, the default, picks GOMAXPROCS; 1 runs strictly serially); every
 // setting is bit-identical. A whole-vehicle run (-macro all) prints its
 // run metrics, including the per-stage time breakdown, after each DfT

@@ -10,7 +10,9 @@
 // run into per-macro defect-sprinkle units that fan out into per-fault-
 // class analysis units, and merges the keyed results back in canonical
 // order — which is what makes parallel output bit-identical to serial
-// output regardless of worker count or scheduling order.
+// output regardless of worker count or scheduling order. Its
+// good-space compile runs the Monte Carlo dies as the units of a
+// campaign of their own, read back in die order.
 package campaign
 
 import (

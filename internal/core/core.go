@@ -204,11 +204,11 @@ type Pipeline struct {
 	// this pipeline. nil — the default — is the zero-cost noop.
 	Obs *obs.Observer
 	// Workers bounds the pipeline's fan-out: the campaign workers of Run
-	// and RunMacro, and the good-space Monte Carlo's die group (see
-	// goodspace.go) of every entry point. 0 is automatic — GOMAXPROCS —
-	// and 1 runs strictly serially. Any setting produces byte-identical
-	// output: every unit of work depends only on its key or index, and
-	// every merge is canonical.
+	// and RunMacro, and of the good-space Monte Carlo's die campaign (see
+	// goodspace.go) of every entry point. 0 is automatic — GOMAXPROCS,
+	// as the campaign engine resolves it — and 1 runs strictly serially.
+	// Any setting produces byte-identical output: every unit of work
+	// depends only on its key or index, and every merge is canonical.
 	Workers int
 
 	veh     macros.Vehicle
@@ -612,7 +612,7 @@ func (p *Pipeline) Run(ctx context.Context, dft bool) (*Run, error) {
 // no Outcome, so a unit the campaign gave up on is an error naming every
 // failed unit, keys sorted, rather than a silently degraded report.
 func (p *Pipeline) run(ctx context.Context, dft bool, names []string) (*Run, error) {
-	run, out, err := p.execute(ctx, dft, names, campaign.Options{Workers: p.workers()})
+	run, out, err := p.execute(ctx, dft, names, campaign.Options{Workers: p.Workers})
 	if err != nil {
 		return nil, err
 	}

@@ -4,13 +4,14 @@
 // Carlo dies — before any fault can be classified, which historically
 // made it a fully serial prelude to every run. The dies are independent
 // by construction (each draws its variation from its own
-// StreamSeed(seed, "goodspace", i) RNG stream), so this file spreads
-// them over a bounded worker group and merges the per-die responses in
-// index order — exactly the slice the serial loop would have produced,
+// StreamSeed(seed, "goodspace", i) RNG stream), so each die is one unit
+// of the campaign engine, keyed by its index — the same scheduler that
+// runs the class analyses — and the per-die responses are read back in
+// index order: exactly the slice the serial loop would have produced,
 // so signature.Compile sees bit-identical input for any worker count.
 //
 // Pool ownership: the compile owns a private EnginePool, shared by its
-// die workers (it is safe for concurrent checkouts) and dropped when the
+// die units (it is safe for concurrent checkouts) and dropped when the
 // compile ends. It still gives the reuse that matters — the
 // comparator's lo/hi transients share one engine, later dies revalue
 // earlier dies' engines — while the per-die variations, which never
@@ -23,23 +24,15 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
-	"runtime"
 	"strconv"
 
+	"repro/internal/campaign"
 	"repro/internal/macros"
 	"repro/internal/obs"
 	"repro/internal/signature"
 )
-
-// workers resolves the pipeline's fan-out bound (see the Workers field:
-// 0 is automatic).
-func (p *Pipeline) workers() int {
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // compileGoodSpace runs the good-space Monte Carlo and compiles the
 // envelope. It does not touch the pipeline caches — GoodSpace owns the
@@ -78,23 +71,39 @@ func (p *Pipeline) goodDie(ctx context.Context, i int, dft bool, pool *macros.En
 	return p.Chipify(parts, "", nil), nil
 }
 
-// goodSamples produces the per-die responses in index order. Workers
-// claim die indexes through forEach — which worker runs which die is
-// schedule-dependent, but each die depends only on its index, so the
-// index-ordered slice is invariant.
+// goodSamples runs every die as one campaign unit on Workers workers
+// and returns the responses in index order: which worker runs which die
+// is schedule-dependent, but each die depends only on its index. A die
+// is deterministic, so it is never retried; a failed die lets the
+// others finish and then fails the compile with its own error (the
+// lowest failed index's), or with an error naming it when it panicked.
 func (p *Pipeline) goodSamples(ctx context.Context, dft bool, met *obs.Metrics) ([]*signature.Response, error) {
 	n := p.Cfg.MCSamples
-	samples := make([]*signature.Response, n)
 	// The pool is private to the compile, never the pipeline's — see
 	// the package comment.
 	pool := macros.NewEnginePool()
-	err := forEach(ctx, n, p.workers(), func(ctx context.Context, i int) error {
-		r, err := p.goodDie(ctx, i, dft, pool, met)
-		samples[i] = r
-		return err
-	})
+	errs := make([]error, n)
+	units := make([]campaign.Unit, n)
+	for i := range units {
+		units[i] = campaign.Unit{Key: strconv.Itoa(i), Run: func(ctx context.Context) (any, error) {
+			r, err := p.goodDie(ctx, i, dft, pool, met)
+			errs[i] = err
+			return r, err
+		}}
+	}
+	out, err := campaign.Execute(ctx, campaign.Options{Workers: p.Workers, MaxRetries: -1}, units)
 	if err != nil {
 		return nil, err
+	}
+	samples := make([]*signature.Response, n)
+	for i, u := range units {
+		if msg, failed := out.Failed[u.Key]; failed {
+			if errs[i] != nil {
+				return nil, errs[i]
+			}
+			return nil, fmt.Errorf("core: good-space die %d: %s", i, msg)
+		}
+		samples[i] = out.Results[u.Key].(*signature.Response)
 	}
 	return samples, nil
 }

@@ -1,11 +1,13 @@
 // External tests for the die-sharded good-space compile: determinism
-// across worker counts, bounded-time cancellation, and the single-flight
-// contract for concurrent callers.
+// across worker counts, bounded-time cancellation, failed dies, and the
+// single-flight contract for concurrent callers.
 package core_test
 
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +19,7 @@ import (
 )
 
 // goodSpaceTestCfg trims the Monte Carlo to 6 dies so the 9-worker case
-// also covers a die group wider than the die count (workers > dies).
+// also covers a die campaign with more workers than dies.
 func goodSpaceTestCfg() core.Config {
 	cfg := core.QuickConfig()
 	cfg.Defects = 1200
@@ -60,7 +62,7 @@ func TestGoodSpaceMatchesSerial(t *testing.T) {
 	}
 
 	want, wantDet := compile(1)
-	for _, workers := range []int{4, 9} {
+	for _, workers := range []int{0, 4, 9} {
 		got, gotDet := compile(workers)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: compiled GoodSpace differs from serial", workers)
@@ -72,15 +74,27 @@ func TestGoodSpaceMatchesSerial(t *testing.T) {
 	}
 }
 
+// panicOnDie panics at the end of one good-space die's span.
+type panicOnDie string
+
+func (d panicOnDie) Emit(r *obs.Record) {
+	if r.Stage == obs.StageGoodSpaceDie && r.Class == string(d) {
+		panic("injected")
+	}
+}
+
 // TestGoodSpaceCancelledMidCompile: a cancellation mid-Monte-Carlo must
-// abort the die group in bounded time with a cancellation error, not
-// run the remaining dies to completion.
+// abort the die campaign in bounded time with a cancellation error, not
+// run the remaining dies to completion, and leave none of its goroutines
+// behind. Neither the cancelled compile nor one whose die panicked may
+// be cached.
 func TestGoodSpaceCancelledMidCompile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("good-space Monte Carlo in -short mode")
 	}
 	cfg := goodSpaceTestCfg()
 	cfg.MCSamples = 64 // long enough that cancellation lands mid-compile
+	before := runtime.NumGoroutine()
 	p := core.NewPipeline(cfg)
 	p.Workers = 4
 	ctx, cancel := context.WithCancel(context.Background())
@@ -99,12 +113,29 @@ func TestGoodSpaceCancelledMidCompile(t *testing.T) {
 	if took := time.Since(start); took > 10*time.Second {
 		t.Fatalf("cancellation took %v, want bounded abort", took)
 	}
+	// The campaign joins its workers and its cancellation watcher before
+	// returning; allow the runtime a moment to retire them.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the cancelled compile, %d before", n, before)
+	}
 	// A cancelled compile must not be cached; a fresh context retries.
-	// (Shrink the Monte Carlo first — the retry only proves the cache
-	// stayed empty, it does not need the full 64 dies.)
+	// (Shrink the Monte Carlo first — the retries only prove the cache
+	// stayed empty, they do not need the full 64 dies.) The first retry
+	// panics in die 1, which must surface as an error naming that die
+	// once the other die has finished, and must not be cached either.
 	p.Cfg.MCSamples = 2
+	p.Obs = obs.New(panicOnDie("die1"))
+	_, err = p.GoodSpace(context.Background(), false)
+	if err == nil || !strings.Contains(err.Error(), "die 1") || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("want an error naming the panicking die 1, got %v", err)
+	}
+	p.Obs = nil
 	if _, err := p.GoodSpace(context.Background(), false); err != nil {
-		t.Fatalf("retry after cancellation: %v", err)
+		t.Fatalf("retry after cancellation and a failed die: %v", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/cmplx"
 
 	"repro/internal/faults"
+	"repro/internal/netlist"
 	"repro/internal/spice"
 )
 
@@ -27,8 +28,11 @@ type ACResult struct {
 // extension: the paper observes that clock-value faults, invisible to the
 // simple DC tests, typically disturb exactly this high-frequency
 // behaviour.
+//
+// The engine comes through checkoutEngine like every other session's:
+// a pooled fault-free engine when opt.Pool has one, a fresh build (with
+// f injected) otherwise.
 func (m *ComparatorMacro) AmplifierAC(ctx context.Context, f *faults.Fault, opt RespondOpts) (*ACResult, error) {
-	b := m.buildComparatorCircuit(m.VRef, opt)
 	// Hold the circuit in the tracking configuration: clk1 high (input
 	// switches on, so the DC operating point sees the inputs — in a DC
 	// analysis the sampling capacitors are open and cannot hold charge),
@@ -37,12 +41,20 @@ func (m *ComparatorMacro) AmplifierAC(ctx context.Context, f *faults.Fault, opt 
 	// at t = 370 ns configures the clocks directly. The signal path
 	// vin → switch → diff pair → outputs is exactly the one whose
 	// high-frequency behaviour clock-value faults degrade.
-	if f != nil {
-		if err := faults.Inject(b.C, *f, procShared, faults.InjectOptions{NonCat: opt.NonCat}); err != nil {
-			return nil, err
-		}
+	eng, release, err := checkoutEngine(opt, engineCheckout{
+		key:  m.engineKey(opt),
+		f:    f,
+		io:   faults.InjectOptions{NonCat: opt.NonCat},
+		into: func(b *netlist.Builder) { m.buildComparatorInto(b, m.VRef, opt) },
+	})
+	if err != nil {
+		return nil, err
 	}
-	eng := spice.New(b.C, opt.simOptions())
+	defer release()
+	// A pooled engine carries the input level of its last session.
+	if err := eng.RetuneVSource("vvin", netlist.DC(m.VRef)); err != nil {
+		return nil, err
+	}
 	op, err := eng.OPAt(ctx, 370e-9)
 	if err != nil {
 		return nil, fmt.Errorf("macros: amplifier OP: %w", err)

@@ -3,9 +3,13 @@ package macros
 import (
 	"context"
 	"math"
+	"math/cmplx"
+	"math/rand"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
+	"repro/internal/spice"
 )
 
 func TestAmplifierACNominal(t *testing.T) {
@@ -77,5 +81,77 @@ func TestAmplifierACGainFaultVisible(t *testing.T) {
 	}
 	if math.Abs(nom.GainDB-faulty.GainDB) < 1 {
 		t.Fatalf("load fault must change the gain: %.1f vs %.1f dB", nom.GainDB, faulty.GainDB)
+	}
+}
+
+// acDirect is AmplifierAC as it was before it obtained its engine
+// through checkoutEngine: a fresh build, the fault injected, a new
+// engine that is never released. It is the reference the pooled and
+// the pool-less checkouts must reproduce bit for bit.
+func acDirect(t *testing.T, m *ComparatorMacro, f *faults.Fault, opt RespondOpts) ACResult {
+	t.Helper()
+	b := m.buildComparatorCircuit(m.VRef, opt)
+	if f != nil {
+		if err := faults.Inject(b.C, *f, procShared, faults.InjectOptions{NonCat: opt.NonCat}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := spice.New(b.C, opt.simOptions())
+	op, err := eng.OPAt(context.Background(), 370e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freqs := spice.LogSpace(1e3, 1e9, 49)
+	sols, err := eng.AC(op, "vvin", freqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diff := func(s *spice.ACSolution) float64 { return cmplx.Abs(s.V("o1") - s.V("o2")) }
+	ref := diff(sols[0])
+	res := ACResult{GainDB: 20 * math.Log10(math.Max(ref, 1e-12)), Bandwidth3dB: freqs[len(freqs)-1]}
+	for _, s := range sols {
+		if diff(s) < ref/math.Sqrt2 {
+			res.Bandwidth3dB = s.Freq
+			break
+		}
+	}
+	return res
+}
+
+// TestAmplifierACCheckoutMatchesDirect: the nominal and a faulty
+// amplifier measure bit-identically with and without an engine pool,
+// and equal the direct construction. The pooled nominal runs take an
+// engine that last ran the comparator's transients at other input
+// levels, once at the same Variation (covering the vvin retune) and
+// once at another die's (covering the revalue).
+func TestAmplifierACCheckoutMatchesDirect(t *testing.T) {
+	m := NewComparatorWithRef(DefaultVehicle(), 2.0)
+	ctx := context.Background()
+	clk := &faults.Fault{Kind: faults.ThickOxPinhole, Nets: []string{"clk1", "vss"}, Res: 800}
+	for _, f := range []*faults.Fault{nil, clk} {
+		want := acDirect(t, m, f, RespondOpts{Var: Nominal()})
+		got, err := m.AmplifierAC(ctx, f, RespondOpts{Var: Nominal()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != want {
+			t.Fatalf("fault %v, no pool: got %+v, direct construction %+v", f, *got, want)
+		}
+		for _, warm := range []Variation{Nominal(), Draw(rand.New(rand.NewSource(7)))} {
+			pool, met := NewEnginePool(), &obs.Metrics{}
+			if _, err := m.Respond(ctx, nil, RespondOpts{Var: warm, CurrentsOnly: true, Pool: pool}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.AmplifierAC(ctx, f, RespondOpts{Var: Nominal(), Pool: pool, Metrics: met})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != want {
+				t.Fatalf("fault %v, pool warmed at %+v: got %+v, direct construction %+v", f, warm, *got, want)
+			}
+			if hits := met.Get(obs.CtrRebindHits); (f == nil) != (hits == 1) {
+				t.Fatalf("fault %v: %d rebind hits, want the pooled engine for the nominal run only", f, hits)
+			}
+		}
 	}
 }

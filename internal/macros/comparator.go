@@ -277,6 +277,14 @@ type tranRun struct {
 	failed            bool
 }
 
+// engineKey is the pooled topology of the comparator testbench under opt.
+func (m *ComparatorMacro) engineKey(opt RespondOpts) engineKey {
+	return engineKey{
+		macro: m.Name(), vref: m.VRef, dft: opt.DfT,
+		leak: !opt.DfT && opt.Var.FFLeakA > 1e-9,
+	}
+}
+
 // transient simulates the three-phase conversion at the given input on
 // the session's engine until the first step at or past stop (+Inf for
 // the whole schedule), checking the engine out on the session's first
@@ -286,10 +294,7 @@ func (m *ComparatorMacro) transient(ctx context.Context, vin, stop float64, f *f
 	sp := opt.span(obs.StageInject, m.Name())
 	if ses.eng == nil {
 		eng, release, err := checkoutEngine(opt, engineCheckout{
-			key: engineKey{
-				macro: m.Name(), vref: m.VRef, dft: opt.DfT,
-				leak: !opt.DfT && opt.Var.FFLeakA > 1e-9,
-			},
+			key:  m.engineKey(opt),
 			f:    f,
 			io:   faults.InjectOptions{NonCat: opt.NonCat, GOS: gos},
 			into: func(b *netlist.Builder) { m.buildComparatorInto(b, vin, opt) },

@@ -74,8 +74,7 @@ const (
 	// FFLeakNominal and FFLeakSigma set the per-slice flipflop leakage
 	// (A); over the vehicle's 2^N slices the 3σ spread is 3·σ·2^N
 	// (≈15 mA at the default 8-bit vehicle) — the paper's
-	// sampling-phase supply-current spread. Vehicle.IDDQBudgetA derives
-	// the chip-level budget.
+	// sampling-phase supply-current spread.
 	FFLeakNominal = 100e-6
 	FFLeakSigma   = 20e-6
 	// TempLo/TempHi bound the operating temperature range.

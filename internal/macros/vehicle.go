@@ -102,11 +102,3 @@ func (v Vehicle) TestSamples() int {
 	}
 	return n
 }
-
-// IDDQBudgetA is the sampling-phase supply-current spread budget of the
-// pre-DfT flipflop leakage: 2^N slices × (nominal + 3σ) per-slice leak —
-// ≈41 mA at the 8-bit member, the scale of the paper's sampling-phase
-// IVdd bound before the DfT flipflop redesign.
-func (v Vehicle) IDDQBudgetA() float64 {
-	return float64(v.Comparators()) * (FFLeakNominal + 3*FFLeakSigma)
-}

@@ -50,17 +50,6 @@ type StampProgram struct {
 	Segs  []StampSeg
 }
 
-// NumLinear returns how many items of the program are linear.
-func (p *StampProgram) NumLinear() int {
-	n := 0
-	for _, it := range p.Items {
-		if it.Linear {
-			n++
-		}
-	}
-	return n
-}
-
 // CompileStamps compiles the circuit's element list for one stamp mode.
 // auxBase[i] is the first auxiliary-unknown index of c.Elems[i]. Elements
 // appended to the circuit after compilation are not part of the program

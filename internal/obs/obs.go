@@ -176,7 +176,7 @@ var counterNames = [NumCounters]string{
 func (c Counter) Name() string { return counterNames[c] }
 
 // Metrics is a block of hot-path counters. The counters are atomic:
-// one block may be shared by concurrent writers (the die workers of the
+// one block may be shared by concurrent writers (the running dies of the
 // good-space Monte Carlo all fold into their stage's block), so Add and
 // Get are lock-free atomic operations — a handful of nanoseconds on an
 // uncontended counter, which the Newton loop tolerates. A nil *Metrics

@@ -168,13 +168,10 @@ type Engine struct {
 
 	// Persistent stamping contexts: liveCtx accumulates straight into
 	// a/b (nonlinear per-iteration stamps), recCtx appends to recA/recB
-	// (linear once-per-solve recording). Their closures are built once
-	// here and read curX/curPrev indirectly, so assembly allocates
-	// nothing.
+	// (linear once-per-solve recording). Each solve points their dense
+	// iterate views at its vectors, so assembly allocates nothing.
 	liveCtx *netlist.Context
 	recCtx  *netlist.Context
-	curX    []float64
-	curPrev []float64
 }
 
 // matState is what the MNA matrix can hold between assemblies.
@@ -221,45 +218,14 @@ func New(ckt *netlist.Circuit, opt Options) *Engine {
 	e.subX = make([]float64, n)
 	e.retryX = make([]float64, n)
 
-	// The accumulation closures capture the backing slices directly
-	// (they are never reallocated) so each stamp call skips the pointer
-	// chases through the engine; X/XPrev must go through the engine
-	// because curX/curPrev are retargeted per solve.
-	aa, bb := e.a.A, e.b
-	e.liveCtx = &netlist.Context{
-		X: func(nd netlist.NodeID) float64 {
-			if nd == netlist.Ground {
-				return 0
-			}
-			return e.curX[int(nd)-1]
-		},
-		XPrev: func(nd netlist.NodeID) float64 {
-			if nd == netlist.Ground {
-				return 0
-			}
-			return e.curPrev[int(nd)-1]
-		},
-		A: func(i, j int, v float64) { aa[i*n+j] += v },
-		B: func(i int, v float64) { bb[i] += v },
-		// Dense fast path: nonlinear stamps during live assembly write
-		// the matrix and RHS directly instead of going through the
-		// closures above (same additions, same order).
-		ADense: aa,
-		BDense: bb,
-		N:      n,
-	}
+	// Live assembly writes the matrix and RHS directly.
+	e.liveCtx = &netlist.Context{ADense: e.a.A, BDense: e.b, N: n}
 	e.recAppendA = func(i, j int, v float64) { e.recA = append(e.recA, aOp{i*n + j, v}) }
 	e.recCtx = &netlist.Context{
 		// Linear stamps are X-independent by contract; reading X while
 		// recording would silently replay a stale iterate, so fail fast.
 		X: func(netlist.NodeID) float64 {
 			panic("spice: linear element read X during stamp recording")
-		},
-		XPrev: func(nd netlist.NodeID) float64 {
-			if nd == netlist.Ground {
-				return 0
-			}
-			return e.curPrev[int(nd)-1]
 		},
 		A: e.recAppendA,
 		B: func(i int, v float64) { e.recB = append(e.recB, bOp{i, v}) },
@@ -510,7 +476,6 @@ func (e *Engine) beginSolve(mode netlist.StampMode, time, dt, gmin, srcScale flo
 		panic("spice: engine used after Release")
 	}
 	e.curProg = e.prog(mode)
-	e.curPrev = xPrev
 	e.recB = e.recB[:0]
 	e.segEndB = e.segEndB[:0]
 	// The A-side recording can be kept whenever the previous solve
@@ -590,7 +555,6 @@ func (e *Engine) accumulate(x []float64) {
 	for i := range b {
 		b[i] = 0
 	}
-	e.curX = x
 	e.liveCtx.XDense = x
 	aa := e.a.A
 	ai, bi, si := 0, 0, 0

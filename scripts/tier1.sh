@@ -15,7 +15,10 @@
 #                        the pool/rebind seam), and no hand-rolled
 #                        chan struct{} single-flight registries in
 #                        internal/core or internal/macros (compute-once
-#                        results go through internal/memo)
+#                        results go through internal/memo), and no
+#                        sync.WaitGroup in internal/core, macros, spice,
+#                        solver or netlist (fan-out goes through the
+#                        campaign engine)
 #   3. go build / vet  — compile + static checks, whole tree
 #   4. staticcheck     — when the binary is on PATH (skipped with a notice
 #                        otherwise; the container does not ship it)
@@ -129,6 +132,20 @@ mlint=$(grep -rn --include='*.go' --exclude='*_test.go' \
 if [ -n "$mlint" ]; then
 	echo "grep-lint: chan struct{} single-flight in internal/core or internal/macros (use internal/memo):" >&2
 	echo "$mlint" >&2
+	exit 1
+fi
+
+# One-scheduler lint: fan-out in the pipeline and simulation layers —
+# class analyses and good-space dies alike — runs as units of the
+# campaign engine, which owns worker pools, cancellation, panic recovery
+# and error collection. A sync.WaitGroup there is the telltale of a
+# second, hand-rolled worker pool. Tests are excluded.
+wlint=$(grep -rn --include='*.go' --exclude='*_test.go' \
+	-e 'sync\.WaitGroup' \
+	internal/core/ internal/macros/ internal/spice/ internal/solver/ internal/netlist/ 2>/dev/null || true)
+if [ -n "$wlint" ]; then
+	echo "grep-lint: sync.WaitGroup in a pipeline or simulation layer (run fan-out as campaign units):" >&2
+	echo "$wlint" >&2
 	exit 1
 fi
 
