@@ -6,30 +6,44 @@ package netlist
 type ACContext struct {
 	// Omega is the angular frequency (rad/s).
 	Omega float64
-	// X returns the DC operating-point voltage of a node (the
-	// linearisation point for nonlinear devices).
-	X func(NodeID) float64
 	// Source is the name of the element acting as the AC excitation
 	// (unit magnitude); all other independent sources are quiesced.
 	Source string
-	// A adds to the complex MNA matrix; B to the right-hand side.
-	A func(i, j int, v complex128)
-	// B adds to the right-hand side.
-	B func(i int, v complex128)
+	// XDense is the DC operating point (the linearisation point for
+	// nonlinear devices), node n at index n-1.
+	XDense []float64
+	// ADense/BDense are the dense row-major N×N complex matrix and the
+	// length-N right-hand side that AddA/AddB accumulate into.
+	ADense, BDense []complex128
+	N              int
 }
+
+// XAt returns the operating-point voltage at a node.
+func (ctx *ACContext) XAt(n NodeID) float64 {
+	if n == Ground {
+		return 0
+	}
+	return ctx.XDense[int(n)-1]
+}
+
+// AddA accumulates v into matrix entry (i, j).
+func (ctx *ACContext) AddA(i, j int, v complex128) { ctx.ADense[i*ctx.N+j] += v }
+
+// AddB accumulates v into right-hand-side row i.
+func (ctx *ACContext) AddB(i int, v complex128) { ctx.BDense[i] += v }
 
 // StampACG stamps a complex admittance between two nodes.
 func (ctx *ACContext) StampACG(a, b NodeID, y complex128) {
 	ia, ib := idx(a), idx(b)
 	if ia >= 0 {
-		ctx.A(ia, ia, y)
+		ctx.AddA(ia, ia, y)
 	}
 	if ib >= 0 {
-		ctx.A(ib, ib, y)
+		ctx.AddA(ib, ib, y)
 	}
 	if ia >= 0 && ib >= 0 {
-		ctx.A(ia, ib, -y)
-		ctx.A(ib, ia, -y)
+		ctx.AddA(ia, ib, -y)
+		ctx.AddA(ib, ia, -y)
 	}
 }
 
@@ -56,15 +70,15 @@ func (c *Capacitor) StampAC(ctx *ACContext, _ int) {
 func (v *VSource) StampAC(ctx *ACContext, auxBase int) {
 	ia, ib := idx(v.P), idx(v.N)
 	if ia >= 0 {
-		ctx.A(ia, auxBase, 1)
-		ctx.A(auxBase, ia, 1)
+		ctx.AddA(ia, auxBase, 1)
+		ctx.AddA(auxBase, ia, 1)
 	}
 	if ib >= 0 {
-		ctx.A(ib, auxBase, -1)
-		ctx.A(auxBase, ib, -1)
+		ctx.AddA(ib, auxBase, -1)
+		ctx.AddA(auxBase, ib, -1)
 	}
 	if v.Label == ctx.Source {
-		ctx.B(auxBase, 1)
+		ctx.AddB(auxBase, 1)
 	}
 }
 
@@ -75,10 +89,10 @@ func (s *ISource) StampAC(ctx *ACContext, _ int) {
 		return
 	}
 	if ia := idx(s.P); ia >= 0 {
-		ctx.B(ia, -1)
+		ctx.AddB(ia, -1)
 	}
 	if ib := idx(s.N); ib >= 0 {
-		ctx.B(ib, 1)
+		ctx.AddB(ib, 1)
 	}
 }
 
@@ -86,7 +100,7 @@ func (s *ISource) StampAC(ctx *ACContext, _ int) {
 // operating point with numerically evaluated conductances (gm, gds, gmb),
 // matching the large-signal Stamp's linearisation.
 func (m *MOSFET) StampAC(ctx *ACContext, _ int) {
-	vd, vg, vs, vb := ctx.X(m.D), ctx.X(m.G), ctx.X(m.S), ctx.X(m.B)
+	vd, vg, vs, vb := ctx.XAt(m.D), ctx.XAt(m.G), ctx.XAt(m.S), ctx.XAt(m.B)
 	const h = 1e-6
 	i0, _, _, _ := m.eval(vd, vg, vs, vb)
 	id1, _, _, _ := m.eval(vd+h, vg, vs, vb)
@@ -102,16 +116,16 @@ func (m *MOSFET) StampAC(ctx *ACContext, _ int) {
 			return
 		}
 		if j := idx(m.D); j >= 0 {
-			ctx.A(row, j, complex(sign*gdd, 0))
+			ctx.AddA(row, j, complex(sign*gdd, 0))
 		}
 		if j := idx(m.G); j >= 0 {
-			ctx.A(row, j, complex(sign*gdg, 0))
+			ctx.AddA(row, j, complex(sign*gdg, 0))
 		}
 		if j := idx(m.S); j >= 0 {
-			ctx.A(row, j, complex(sign*gds, 0))
+			ctx.AddA(row, j, complex(sign*gds, 0))
 		}
 		if j := idx(m.B); j >= 0 {
-			ctx.A(row, j, complex(sign*gdb, 0))
+			ctx.AddA(row, j, complex(sign*gdb, 0))
 		}
 	}
 	stampRow(idx(m.D), 1)

@@ -15,18 +15,16 @@ func (c *Capacitor) InactiveIn(mode StampMode) bool { return mode == DCOp }
 // StampItem is one element occurrence in a compiled stamp program.
 type StampItem struct {
 	El Element
-	// BS is El's BStamper view when it implements one (nil otherwise),
+	// Linear is El's LinearElement view, nil for a nonlinear element,
 	// resolved at compile time so the engine's B-side re-recording loop
-	// avoids a per-solve type assertion.
-	BS BStamper
+	// avoids a per-solve type assertion. A linear stamp is independent of
+	// the present iterate X, so within one Newton solve — where time,
+	// timestep, source scale and the previous-step state are all fixed —
+	// it is constant and can be recorded once and replayed per iteration.
+	Linear LinearElement
 	// AuxBase is the element's first MNA auxiliary index (as assigned by
 	// the engine), passed through to Stamp.
 	AuxBase int
-	// Linear mirrors El.Linear(): the stamp is independent of the present
-	// iterate X, so within one Newton solve — where time, timestep,
-	// source scale and the previous-step state are all fixed — it is
-	// constant and can be recorded once and replayed per iteration.
-	Linear bool
 }
 
 // StampSeg is a maximal run of consecutive same-kind items. Segments let
@@ -62,12 +60,10 @@ func CompileStamps(c *Circuit, mode StampMode, auxBase []int) *StampProgram {
 		if g, ok := el.(ModeGated); ok && g.InactiveIn(mode) {
 			continue
 		}
-		it := StampItem{El: el, AuxBase: auxBase[i], Linear: el.Linear()}
-		if bs, ok := el.(BStamper); ok {
-			it.BS = bs
-		}
-		if n := len(p.Segs); n == 0 || p.Segs[n-1].Linear != it.Linear {
-			p.Segs = append(p.Segs, StampSeg{Linear: it.Linear, From: len(p.Items)})
+		lin, _ := el.(LinearElement)
+		it := StampItem{El: el, Linear: lin, AuxBase: auxBase[i]}
+		if n := len(p.Segs); n == 0 || p.Segs[n-1].Linear != (lin != nil) {
+			p.Segs = append(p.Segs, StampSeg{Linear: lin != nil, From: len(p.Items)})
 		}
 		p.Items = append(p.Items, it)
 		p.Segs[len(p.Segs)-1].To = len(p.Items)

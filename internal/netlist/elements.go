@@ -29,15 +29,12 @@ func (r *Resistor) Retarget(i int, n NodeID) {
 // NumAux implements Element.
 func (r *Resistor) NumAux() int { return 0 }
 
-// Linear implements Element.
-func (r *Resistor) Linear() bool { return true }
-
 // Stamp implements Element.
 func (r *Resistor) Stamp(ctx *Context, _ int) {
 	ctx.StampG(r.A, r.B, 1/r.R)
 }
 
-// StampB implements BStamper: a resistor is pure conductance, so the
+// StampB implements LinearElement: a resistor is pure conductance, so the
 // B-side re-recording has nothing to do.
 func (r *Resistor) StampB(*Context, int) {}
 
@@ -78,9 +75,6 @@ func (c *Capacitor) Retarget(i int, n NodeID) {
 // NumAux implements Element.
 func (c *Capacitor) NumAux() int { return 0 }
 
-// Linear implements Element.
-func (c *Capacitor) Linear() bool { return true }
-
 // Stamp implements Element.
 func (c *Capacitor) Stamp(ctx *Context, _ int) {
 	if ctx.Mode == DCOp {
@@ -94,7 +88,7 @@ func (c *Capacitor) Stamp(ctx *Context, _ int) {
 	ctx.StampI(c.B, c.A, g*vPrev)
 }
 
-// StampB implements BStamper: only the history current source, computed
+// StampB implements LinearElement: only the history current source, computed
 // exactly as in Stamp, without the conductance writes.
 func (c *Capacitor) StampB(ctx *Context, _ int) {
 	if ctx.Mode == DCOp {
@@ -230,15 +224,12 @@ func (v *VSource) Retarget(i int, n NodeID) {
 // NumAux implements Element.
 func (v *VSource) NumAux() int { return 1 }
 
-// Linear implements Element.
-func (v *VSource) Linear() bool { return true }
-
 // Stamp implements Element.
 func (v *VSource) Stamp(ctx *Context, auxBase int) {
 	ctx.StampVS(v.P, v.N, auxBase, v.W.At(ctx.Time)*ctx.SrcScale)
 }
 
-// StampB implements BStamper: the branch-voltage right-hand side of
+// StampB implements LinearElement: the branch-voltage right-hand side of
 // StampVS, without the ±1 incidence entries.
 func (v *VSource) StampB(ctx *Context, auxBase int) {
 	ctx.AddB(auxBase, v.W.At(ctx.Time)*ctx.SrcScale)
@@ -279,15 +270,12 @@ func (s *ISource) Retarget(i int, n NodeID) {
 // NumAux implements Element.
 func (s *ISource) NumAux() int { return 0 }
 
-// Linear implements Element.
-func (s *ISource) Linear() bool { return true }
-
 // Stamp implements Element.
 func (s *ISource) Stamp(ctx *Context, _ int) {
 	ctx.StampI(s.P, s.N, s.W.At(ctx.Time)*ctx.SrcScale)
 }
 
-// StampB implements BStamper: an ideal current source stamps only the
+// StampB implements LinearElement: an ideal current source stamps only the
 // right-hand side, so this is Stamp verbatim.
 func (s *ISource) StampB(ctx *Context, _ int) {
 	ctx.StampI(s.P, s.N, s.W.At(ctx.Time)*ctx.SrcScale)

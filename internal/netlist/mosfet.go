@@ -88,9 +88,6 @@ func (m *MOSFET) Retarget(i int, n NodeID) {
 // NumAux implements Element.
 func (m *MOSFET) NumAux() int { return 0 }
 
-// Linear implements Element.
-func (m *MOSFET) Linear() bool { return false }
-
 // mosParams caches the bias-independent quantities of eval so a stamp
 // that evaluates the device several times (finite-difference Jacobian)
 // computes them once. Every field is produced by exactly the expression

@@ -106,83 +106,81 @@ const (
 )
 
 // Context is the engine-provided stamping target for one Newton iteration.
+// Stamps read the iterate through dense views and write through AddA and
+// AddB, which either accumulate into the dense matrix and right-hand side
+// or, when Rec is set, append to a recording.
 type Context struct {
 	Mode StampMode
 	// Time is the current analysis time; Dt the timestep (Transient only).
 	Time, Dt float64
-	// X returns the present iterate's voltage at a node.
-	X func(NodeID) float64
-	// XPrev returns the previous accepted timestep's voltage (Transient).
-	XPrev func(NodeID) float64
 	// SrcScale scales all independent sources (source-stepping homotopy).
 	SrcScale float64
 	// Gmin is the convergence-aid conductance applied by nonlinear
 	// elements from their terminals to ground.
 	Gmin float64
 
-	// A adds v to matrix entry (row i, col j) where i, j are MNA unknown
-	// indices; B adds v to the right-hand side. Node n has index n-1;
-	// aux variables have indices assigned by the engine.
-	A func(i, j int, v float64)
-	B func(i int, v float64)
-
-	// ADense/BDense, when non-nil, are a dense row-major N×N matrix and
-	// length-N right-hand side that AddA/AddB accumulate into directly,
-	// bypassing the A/B closures on the stamping hot path. The engine
-	// sets them for live (per-iteration) assembly; recording contexts
-	// leave them nil so every op still flows through the closures. The
-	// additions performed are identical either way.
+	// ADense/BDense are a dense row-major N×N matrix and length-N
+	// right-hand side that AddA/AddB accumulate into when Rec is nil.
+	// Node n has MNA index n-1; aux variables have indices assigned by
+	// the engine.
 	ADense, BDense []float64
 	N              int
 
-	// XDense/XPrevDense, when non-nil, back XAt/XPrevAt with direct
-	// indexed reads (node n at index n-1) instead of the X/XPrev
-	// closures. Values are identical either way.
+	// XDense/XPrevDense are the present iterate and the previous accepted
+	// timestep (Transient), node n at index n-1, read by XAt/XPrevAt. A
+	// recording context leaves XDense nil: linear stamps do not depend on
+	// the iterate, and one that read it would replay a stale value.
 	XDense, XPrevDense []float64
+
+	// Rec, when non-nil, receives every AddA/AddB as a recorded op
+	// instead of the dense views.
+	Rec *Recording
 }
 
-// XAt returns the present iterate's voltage at a node, preferring the
-// dense fast path.
+// Op is one recorded stamp operation: accumulate V into cell K, the
+// flattened matrix index i*N+j of an A op or the row of a B op.
+type Op struct {
+	K int
+	V float64
+}
+
+// Recording holds the ops a recording Context captured, in stamp order.
+type Recording struct {
+	A, B []Op
+}
+
+// XAt returns the present iterate's voltage at a node.
 func (ctx *Context) XAt(n NodeID) float64 {
-	if ctx.XDense != nil {
-		if n == Ground {
-			return 0
-		}
-		return ctx.XDense[int(n)-1]
+	if n == Ground {
+		return 0
 	}
-	return ctx.X(n)
+	return ctx.XDense[int(n)-1]
 }
 
-// XPrevAt returns the previous accepted timestep's voltage at a node,
-// preferring the dense fast path.
+// XPrevAt returns the previous accepted timestep's voltage at a node.
 func (ctx *Context) XPrevAt(n NodeID) float64 {
-	if ctx.XPrevDense != nil {
-		if n == Ground {
-			return 0
-		}
-		return ctx.XPrevDense[int(n)-1]
+	if n == Ground {
+		return 0
 	}
-	return ctx.XPrev(n)
+	return ctx.XPrevDense[int(n)-1]
 }
 
-// AddA accumulates v into matrix entry (i, j) via the dense fast path
-// when available, else through the A closure.
+// AddA accumulates v into matrix entry (i, j), or records it.
 func (ctx *Context) AddA(i, j int, v float64) {
-	if ctx.ADense != nil {
-		ctx.ADense[i*ctx.N+j] += v
+	if ctx.Rec != nil {
+		ctx.Rec.A = append(ctx.Rec.A, Op{i*ctx.N + j, v})
 		return
 	}
-	ctx.A(i, j, v)
+	ctx.ADense[i*ctx.N+j] += v
 }
 
-// AddB accumulates v into right-hand-side row i via the dense fast path
-// when available, else through the B closure.
+// AddB accumulates v into right-hand-side row i, or records it.
 func (ctx *Context) AddB(i int, v float64) {
-	if ctx.BDense != nil {
-		ctx.BDense[i] += v
+	if ctx.Rec != nil {
+		ctx.Rec.B = append(ctx.Rec.B, Op{i, v})
 		return
 	}
-	ctx.B(i, v)
+	ctx.BDense[i] += v
 }
 
 // idx converts a node to its MNA index (-1 for ground).
@@ -263,18 +261,18 @@ type Element interface {
 	// iterate into ctx. auxBase is the index of the element's first aux
 	// unknown (meaningless if NumAux() == 0).
 	Stamp(ctx *Context, auxBase int)
-	// Linear reports whether the element's stamp is independent of X.
-	Linear() bool
 }
 
-// BStamper is an optional interface for linear elements whose A-side
-// stamp does not depend on time or the previous timestep. StampB must
-// perform exactly the AddB calls Stamp would perform — same values, same
-// order — and skip all AddA calls. The engine invokes it instead of
-// Stamp when re-recording only the right-hand side under a still-valid
-// A-side recording, so elements avoid recomputing matrix entries that
-// would be discarded anyway.
-type BStamper interface {
+// LinearElement is an element whose stamp is independent of the present
+// iterate X; implementing StampB is what makes an element linear. Its
+// matrix stamps depend only on the stamp mode, Dt, Gmin and SrcScale,
+// never on Time or the previous timestep, which reach only the
+// right-hand side. StampB must perform exactly the AddB calls Stamp
+// would perform — same values, same order — and no AddA call. The engine
+// invokes it instead of Stamp when it re-records only the right-hand
+// side under a still-valid matrix recording.
+type LinearElement interface {
+	Element
 	StampB(ctx *Context, auxBase int)
 }
 

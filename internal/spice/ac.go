@@ -55,17 +55,7 @@ func (e *Engine) AC(op *Solution, source string, freqs []float64) ([]*ACSolution
 		e.aclu = solver.NewCLU(e.nUnknowns)
 	}
 	a, b := e.acA, e.acB
-	ctx := &netlist.ACContext{
-		Source: source,
-		X: func(n netlist.NodeID) float64 {
-			if n == netlist.Ground {
-				return 0
-			}
-			return op.X[int(n)-1]
-		},
-		A: a.Add,
-		B: func(i int, v complex128) { b[i] += v },
-	}
+	ctx := &netlist.ACContext{Source: source, XDense: op.X, ADense: a.A, BDense: b, N: a.N}
 	out := make([]*ACSolution, 0, len(freqs))
 	for _, f := range freqs {
 		a.Zero()
@@ -105,23 +95,4 @@ func LogSpace(f0, f1 float64, n int) []float64 {
 		out[i] = math.Pow(10, l0+(l1-l0)*float64(i)/float64(n-1))
 	}
 	return out
-}
-
-// Bandwidth3dB locates the -3 dB frequency of the named node relative to
-// its lowest-frequency magnitude, by log-sweeping [f0, f1]. Returns the
-// first frequency where the response has fallen 3 dB (or f1 if it never
-// does).
-func (e *Engine) Bandwidth3dB(op *Solution, source, node string, f0, f1 float64) (float64, error) {
-	freqs := LogSpace(f0, f1, 61)
-	sols, err := e.AC(op, source, freqs)
-	if err != nil {
-		return 0, err
-	}
-	ref := sols[0].MagDB(node)
-	for _, s := range sols {
-		if s.MagDB(node) < ref-3 {
-			return s.Freq, nil
-		}
-	}
-	return f1, nil
 }

@@ -41,14 +41,6 @@ func TestACRCLowpass(t *testing.T) {
 	if db := sols[2].MagDB("out"); math.Abs(db+40) > 0.5 {
 		t.Fatalf("|H(100fp)| = %g dB", db)
 	}
-	// Bandwidth helper.
-	bw, err := e.Bandwidth3dB(op, "vin", "out", fp/100, fp*100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bw < fp*0.8 || bw > fp*1.4 {
-		t.Fatalf("3 dB bandwidth = %g, want ≈%g", bw, fp)
-	}
 }
 
 func TestACCommonSourceGain(t *testing.T) {

@@ -19,20 +19,8 @@ func naiveAssemble(e *Engine, a *solver.Matrix, b []float64, x, xPrev []float64,
 	}
 	ctx := &netlist.Context{
 		Mode: mode, Time: time, Dt: dt, SrcScale: srcScale, Gmin: gmin,
-		X: func(n netlist.NodeID) float64 {
-			if n == netlist.Ground {
-				return 0
-			}
-			return x[int(n)-1]
-		},
-		XPrev: func(n netlist.NodeID) float64 {
-			if n == netlist.Ground {
-				return 0
-			}
-			return xPrev[int(n)-1]
-		},
-		A: a.Add,
-		B: func(i int, v float64) { b[i] += v },
+		XDense: x, XPrevDense: xPrev,
+		ADense: a.A, BDense: b, N: a.N,
 	}
 	for i, el := range e.Ckt.Elems {
 		el.Stamp(ctx, e.auxBase[i])
@@ -160,10 +148,10 @@ func TestCompileStampsPartition(t *testing.T) {
 				t.Fatalf("segment %d is empty", i)
 			}
 			for _, it := range p.Items[seg.From:seg.To] {
-				if it.Linear != seg.Linear {
+				if (it.Linear != nil) != seg.Linear {
 					t.Fatalf("segment %d mixes linear and nonlinear items", i)
 				}
-				if it.Linear != it.El.Linear() {
+				if lin, _ := it.El.(netlist.LinearElement); lin != it.Linear {
 					t.Fatalf("item %s mislabelled", it.El.Name())
 				}
 			}

@@ -41,7 +41,7 @@ type NominalFactor struct {
 // capacitors and independent sources only), because only then is the
 // matrix iterate-independent and the factorization reusable for every
 // fault variant. The options' numeric fields (tolerances, MaxIter,
-// MaxStep, Gmin) govern the damped-walk replica in SolveUpdated;
+// MaxStep, Gmin) govern SolveUpdated's damped walk;
 // Metrics and OPTrace are deliberately dropped so a cached factor never
 // holds one caller's observer.
 func NewNominalFactor(ckt *netlist.Circuit, opt Options) (*NominalFactor, error) {
@@ -59,6 +59,9 @@ func NewNominalFactor(ckt *netlist.Circuit, opt Options) (*NominalFactor, error)
 			return nil, fmt.Errorf("%w: %d nonlinear stamp items", ErrNotLinear, seg.To-seg.From)
 		}
 	}
+	// The pattern probe records into the engine's recording, so it runs
+	// before the solve records.
+	lu := e.sparseLU(netlist.DCOp)
 	// Assemble at the zero iterate — for a linear circuit the matrix and
 	// right-hand side are the same at every iterate, so this is the
 	// system every Newton iteration of the classic path solves.
@@ -68,7 +71,7 @@ func NewNominalFactor(ckt *netlist.Circuit, opt Options) (*NominalFactor, error)
 		e:   e,
 		a:   e.a.Clone(),
 		b:   append([]float64(nil), e.b...),
-		lu:  e.sparseLU(netlist.DCOp),
+		lu:  lu,
 		opt: opt,
 	}
 	// One factorisation learns the pivot sequence and leaves its
@@ -151,7 +154,7 @@ type UpdateWork struct {
 // The returned Solution matches the classic path within the Newton
 // convergence contract, not bit-for-bit: the classic path's converged
 // iterate is its final LU solve vector walked to under MaxStep damping,
-// and this replica runs the identical damped walk against the SMW
+// and this path runs the identical damped walk against the SMW
 // solve vector, which agrees with the LU vector to solver accuracy
 // (one refinement pass) — far inside the AbsTol/RelTol contract. See
 // DESIGN.md §10 for why every consumer quantizes the difference away.
@@ -180,39 +183,16 @@ func (nf *NominalFactor) SolveUpdated(upd solver.LowRankUpdate, w *UpdateWork) (
 	if res := us.ResidualInf(xNew, nf.b); !(res <= 1e-9*scale) {
 		return nil, fmt.Errorf("%w: residual %.3g", solver.ErrIllConditioned, res)
 	}
-	// Damped-walk replica of Engine.newton for a linear system: the
-	// classic path re-solves the same system every iteration, so its
-	// per-iteration solve target is constant — walking the same clamped
-	// steps against the SMW target reproduces the trajectory (and the
-	// convergence decision) with the target's accuracy.
-	o := nf.opt
+	// Engine.newton's damped walk for a linear system: the classic path
+	// re-solves the same system every iteration, so its per-iteration
+	// solve target is constant — taking the same dampedStep walk against
+	// the SMW target reproduces the trajectory (and the convergence
+	// decision) with the target's accuracy.
 	w.x = solver.Grow(w.x, n)
 	x := w.x
 	clear(x)
-	nNode := nf.e.nNodeVars
-	for iter := 0; iter < o.MaxIter; iter++ {
-		conv := true
-		for i := 0; i < n; i++ {
-			dx := xNew[i] - x[i]
-			if i < nNode {
-				if dx > o.MaxStep {
-					dx = o.MaxStep
-					conv = false
-				} else if dx < -o.MaxStep {
-					dx = -o.MaxStep
-					conv = false
-				}
-				if math.Abs(dx) > o.AbsTol+o.RelTol*math.Abs(x[i]) {
-					conv = false
-				}
-			} else {
-				if math.Abs(dx) > 1e-9+o.RelTol*math.Abs(x[i]) {
-					conv = false
-				}
-			}
-			x[i] += dx
-		}
-		if conv {
+	for iter := 0; iter < nf.opt.MaxIter; iter++ {
+		if dampedStep(x, xNew, nf.e.nNodeVars, &nf.opt) {
 			w.sol = Solution{e: nf.e, X: x}
 			return &w.sol, nil
 		}

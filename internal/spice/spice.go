@@ -57,17 +57,6 @@ func DefaultOptions() Options {
 	return Options{AbsTol: 1e-6, RelTol: 1e-4, MaxIter: 150, Gmin: 1e-12, MaxStep: 1.0}
 }
 
-// aOp and bOp are recorded stamp operations: accumulate v into the
-// flattened matrix cell k, respectively RHS row i.
-type aOp struct {
-	k int
-	v float64
-}
-type bOp struct {
-	i int
-	v float64
-}
-
 // Engine binds a circuit to the MNA solver. All Newton/assembly/solve
 // working storage lives on the Engine and is reused across every OP,
 // transient step and AC linearisation, so steady-state simulation is
@@ -114,26 +103,23 @@ type Engine struct {
 	aLU    *solver.SparseLU
 
 	// Recorded linear-element ops for the current Newton solve, with
-	// per-linear-segment end offsets (parallel to the program's linear
-	// segments, in order).
-	recA    []aOp
-	recB    []bOp
+	// per-linear-segment end offsets into rec.A and rec.B (parallel to
+	// the program's linear segments, in order).
+	rec     netlist.Recording
 	segEndA []int
 	segEndB []int
 	curProg *netlist.StampProgram
 
 	// A-side recording cache. The matrix ops of the linear elements
-	// (Resistor, Capacitor, VSource, ISource) depend only on the stamp
-	// mode, dt, gmin and srcScale — never on Time or XPrev, which reach
-	// only the right-hand side — and element terminals are fixed once an
-	// engine exists (faults are injected before spice.New). So when a
-	// solve repeats the key of the previous recording (every transient
-	// step after the first), beginSolve keeps recA/segEndA and re-records
-	// just the B side, discarding the A-side stamps into a dump sink.
+	// depend only on the stamp mode, dt, gmin and srcScale — never on
+	// Time or XPrev, which reach only the right-hand side — and element
+	// terminals are fixed once an engine exists (faults are injected
+	// before spice.New). So when a solve repeats the key of the previous
+	// recording (every transient step after the first), beginSolve keeps
+	// rec.A/segEndA and re-records just the B side through StampB.
 	recValid               bool
 	recProg                *netlist.StampProgram
 	recDt, recGmin, recSrc float64
-	recAppendA             func(i, j int, v float64)
 
 	// slu holds the per-stamp-mode sparsity-aware factorisation
 	// workspaces (indexed by netlist.StampMode, lazily built from a
@@ -167,11 +153,11 @@ type Engine struct {
 	checkAssemble func(x []float64, from matState)
 
 	// Persistent stamping contexts: liveCtx accumulates straight into
-	// a/b (nonlinear per-iteration stamps), recCtx appends to recA/recB
+	// a/b (nonlinear per-iteration stamps), recCtx appends to rec
 	// (linear once-per-solve recording). Each solve points their dense
 	// iterate views at its vectors, so assembly allocates nothing.
-	liveCtx *netlist.Context
-	recCtx  *netlist.Context
+	liveCtx netlist.Context
+	recCtx  netlist.Context
 }
 
 // matState is what the MNA matrix can hold between assemblies.
@@ -218,19 +204,11 @@ func New(ckt *netlist.Circuit, opt Options) *Engine {
 	e.subX = make([]float64, n)
 	e.retryX = make([]float64, n)
 
-	// Live assembly writes the matrix and RHS directly.
-	e.liveCtx = &netlist.Context{ADense: e.a.A, BDense: e.b, N: n}
-	e.recAppendA = func(i, j int, v float64) { e.recA = append(e.recA, aOp{i*n + j, v}) }
-	e.recCtx = &netlist.Context{
-		// Linear stamps are X-independent by contract; reading X while
-		// recording would silently replay a stale iterate, so fail fast.
-		X: func(netlist.NodeID) float64 {
-			panic("spice: linear element read X during stamp recording")
-		},
-		A: e.recAppendA,
-		B: func(i int, v float64) { e.recB = append(e.recB, bOp{i, v}) },
-		N: n,
-	}
+	// Live assembly writes the matrix and RHS directly; recording leaves
+	// XDense nil, so a linear element that read the iterate would panic
+	// instead of replaying a stale one.
+	e.liveCtx = netlist.Context{ADense: e.a.A, BDense: e.b, N: n}
+	e.recCtx = netlist.Context{N: n, Rec: &e.rec}
 	return e
 }
 
@@ -397,28 +375,38 @@ func (e *Engine) sparseLU(mode netlist.StampMode) *solver.SparseLU {
 }
 
 // stampPattern records the structural nonzero pattern of one mode's
-// stamp program by replaying it into a probing context that captures
-// matrix cell positions and discards values. Stamp positions depend
-// only on element terminals and aux numbering — never on the iterate,
-// the time or the element values — so the pattern recorded here covers
-// every cell any later assembly can touch. Dt, Gmin and SrcScale are
-// probed nonzero so value-gated stamp branches (the backward-Euler
-// companions, the convergence-aid conductances) contribute their cells;
-// a superset pattern is safe, a miss would not be.
+// stamp program: it records each item at the zero iterate into the
+// engine's recording and marks the cells of its matrix ops. Stamp
+// positions depend only on element terminals and aux numbering — never
+// on the iterate, the time or the element values — so the pattern
+// recorded here covers every cell any later assembly can touch. Dt,
+// Gmin and SrcScale are probed nonzero so value-gated stamp branches
+// (the backward-Euler companions, the convergence-aid conductances)
+// contribute their cells; a superset pattern is safe, a miss would not
+// be. The probe overwrites the recording, so the next solve records
+// afresh; it keeps only the linear items' ops, which leaves the
+// recording's buffers grown to what that solve records.
 func (e *Engine) stampPattern(mode netlist.StampMode) *solver.Pattern {
 	n := e.nUnknowns
 	pat := solver.NewPattern(n)
-	zero := func(netlist.NodeID) float64 { return 0 }
-	probe := &netlist.Context{
+	e.recValid = false
+	e.rec.A, e.rec.B = e.rec.A[:0], e.rec.B[:0]
+	probe := netlist.Context{
 		Mode: mode,
 		Dt:   1, Gmin: 1, SrcScale: 1,
-		X: zero, XPrev: zero,
-		A: func(i, j int, v float64) { pat.Mark(i, j) },
-		B: func(int, float64) {},
-		N: n,
+		XDense: e.zeros, XPrevDense: e.zeros,
+		N:   n,
+		Rec: &e.rec,
 	}
 	for _, it := range e.prog(mode).Items {
-		it.El.Stamp(probe, it.AuxBase)
+		na, nb := len(e.rec.A), len(e.rec.B)
+		it.El.Stamp(&probe, it.AuxBase)
+		for _, op := range e.rec.A[na:] {
+			pat.Mark(op.K/n, op.K%n)
+		}
+		if it.Linear == nil {
+			e.rec.A, e.rec.B = e.rec.A[:na], e.rec.B[:nb]
+		}
 	}
 	// assemble adds the node-leak diagonal outside the stamp program.
 	for i := 0; i < e.nNodeVars; i++ {
@@ -476,7 +464,7 @@ func (e *Engine) beginSolve(mode netlist.StampMode, time, dt, gmin, srcScale flo
 		panic("spice: engine used after Release")
 	}
 	e.curProg = e.prog(mode)
-	e.recB = e.recB[:0]
+	e.rec.B = e.rec.B[:0]
 	e.segEndB = e.segEndB[:0]
 	// The A-side recording can be kept whenever the previous solve
 	// recorded the same program under the same dt/gmin/srcScale (see the
@@ -484,54 +472,36 @@ func (e *Engine) beginSolve(mode netlist.StampMode, time, dt, gmin, srcScale flo
 	// re-recording.
 	hit := e.recValid && e.recProg == e.curProg &&
 		e.recDt == dt && e.recGmin == gmin && e.recSrc == srcScale
-
-	rc := e.recCtx
-	rc.Mode, rc.Time, rc.Dt, rc.SrcScale, rc.Gmin = mode, time, dt, srcScale, gmin
-	rc.XPrevDense = xPrev
-	e.liveCtx.XPrevDense = xPrev
-	if hit {
-		// Discard A-side stamps by sinking them into the MNA matrix,
-		// which assemble zeroes before its first use anyway; the inlined
-		// dense writes are cheaper than a dropping closure call.
-		rc.ADense = e.a.A
-	} else {
-		rc.ADense = nil // route A ops to the recording closure
-		e.recA = e.recA[:0]
+	if !hit {
+		e.rec.A = e.rec.A[:0]
 		e.segEndA = e.segEndA[:0]
 	}
+
+	rc := &e.recCtx
+	rc.Mode, rc.Time, rc.Dt, rc.SrcScale, rc.Gmin = mode, time, dt, srcScale, gmin
+	rc.XPrevDense = xPrev
 	for _, seg := range e.curProg.Segs {
 		if !seg.Linear {
 			continue
 		}
-		if hit {
-			// Only the B side needs re-recording; elements with a
-			// compiled BStamper view skip the A-side work their Stamp
-			// would compute into the discard sink.
-			for _, it := range e.curProg.Items[seg.From:seg.To] {
-				if it.BS != nil {
-					it.BS.StampB(rc, it.AuxBase)
-				} else {
-					it.El.Stamp(rc, it.AuxBase)
-					// The sink writes pattern cells that the last
-					// factorisation's filled cells need not cover.
-					e.aState = matUnknown
-				}
-			}
-		} else {
-			for _, it := range e.curProg.Items[seg.From:seg.To] {
+		for _, it := range e.curProg.Items[seg.From:seg.To] {
+			if hit {
+				it.Linear.StampB(rc, it.AuxBase)
+			} else {
 				it.El.Stamp(rc, it.AuxBase)
 			}
 		}
 		if !hit {
-			e.segEndA = append(e.segEndA, len(e.recA))
+			e.segEndA = append(e.segEndA, len(e.rec.A))
 		}
-		e.segEndB = append(e.segEndB, len(e.recB))
+		e.segEndB = append(e.segEndB, len(e.rec.B))
 	}
 	e.recValid = true
 	e.recProg, e.recDt, e.recGmin, e.recSrc = e.curProg, dt, gmin, srcScale
 
-	lc := e.liveCtx
+	lc := &e.liveCtx
 	lc.Mode, lc.Time, lc.Dt, lc.SrcScale, lc.Gmin = mode, time, dt, srcScale, gmin
+	lc.XPrevDense = xPrev
 }
 
 // assemble builds the linearised MNA system at iterate x by walking the
@@ -563,17 +533,17 @@ func (e *Engine) accumulate(x []float64) {
 			endA, endB := e.segEndA[si], e.segEndB[si]
 			si++
 			for ; ai < endA; ai++ {
-				op := e.recA[ai]
-				aa[op.k] += op.v
+				op := e.rec.A[ai]
+				aa[op.K] += op.V
 			}
 			for ; bi < endB; bi++ {
-				op := e.recB[bi]
-				b[op.i] += op.v
+				op := e.rec.B[bi]
+				b[op.K] += op.V
 			}
 			continue
 		}
 		for _, it := range e.curProg.Items[seg.From:seg.To] {
-			it.El.Stamp(e.liveCtx, it.AuxBase)
+			it.El.Stamp(&e.liveCtx, it.AuxBase)
 		}
 	}
 	// A tiny leak at every node keeps floating subcircuits solvable
@@ -608,7 +578,6 @@ func (e *Engine) clearA() {
 // solve performs no allocations.
 func (e *Engine) newton(dst, x0, xPrev []float64, mode netlist.StampMode,
 	time, dt, gmin, srcScale float64) error {
-	n := e.nUnknowns
 	x := e.wx
 	copy(x, x0)
 	lu := e.sparseLU(mode)
@@ -637,34 +606,42 @@ func (e *Engine) newton(dst, x0, xPrev []float64, mode netlist.StampMode,
 		}
 		xNew := lu.SolveInto(e.xNew, e.b)
 		e.met.Add(obs.CtrLUSolves, 1)
-		// Damp node-voltage updates; leave branch currents free.
-		conv := true
-		for i := 0; i < n; i++ {
-			dx := xNew[i] - x[i]
-			if i < e.nNodeVars {
-				if dx > e.Opt.MaxStep {
-					dx = e.Opt.MaxStep
-					conv = false
-				} else if dx < -e.Opt.MaxStep {
-					dx = -e.Opt.MaxStep
-					conv = false
-				}
-				if math.Abs(dx) > e.Opt.AbsTol+e.Opt.RelTol*math.Abs(x[i]) {
-					conv = false
-				}
-			} else {
-				if math.Abs(dx) > 1e-9+e.Opt.RelTol*math.Abs(x[i]) {
-					conv = false
-				}
-			}
-			x[i] += dx
-		}
-		if conv {
+		if dampedStep(x, xNew, e.nNodeVars, &e.Opt) {
 			copy(dst, x)
 			return nil
 		}
 	}
 	return ErrNoConvergence
+}
+
+// dampedStep moves x one Newton step towards the solve target xNew: it
+// clamps node-voltage updates (the first nNode unknowns) to MaxStep,
+// leaves branch currents free, and reports whether every update was
+// within the convergence tolerances. Engine.newton and
+// NominalFactor.SolveUpdated both walk through it.
+func dampedStep(x, xNew []float64, nNode int, o *Options) bool {
+	conv := true
+	for i := range x {
+		dx := xNew[i] - x[i]
+		if i < nNode {
+			if dx > o.MaxStep {
+				dx = o.MaxStep
+				conv = false
+			} else if dx < -o.MaxStep {
+				dx = -o.MaxStep
+				conv = false
+			}
+			if math.Abs(dx) > o.AbsTol+o.RelTol*math.Abs(x[i]) {
+				conv = false
+			}
+		} else {
+			if math.Abs(dx) > 1e-9+o.RelTol*math.Abs(x[i]) {
+				conv = false
+			}
+		}
+		x[i] += dx
+	}
+	return conv
 }
 
 // OP computes the DC operating point at t = 0. Cancelling ctx aborts

@@ -18,7 +18,10 @@
 #                        results go through internal/memo), and no
 #                        sync.WaitGroup in internal/core, macros, spice,
 #                        solver or netlist (fan-out goes through the
-#                        campaign engine)
+#                        campaign engine), and no function-typed struct
+#                        field in non-test internal/netlist code (stamps
+#                        go through the contexts' dense views or their
+#                        recording, not closures)
 #   3. go build / vet  — compile + static checks, whole tree
 #   4. staticcheck     — when the binary is on PATH (skipped with a notice
 #                        otherwise; the container does not ship it)
@@ -146,6 +149,20 @@ wlint=$(grep -rn --include='*.go' --exclude='*_test.go' \
 if [ -n "$wlint" ]; then
 	echo "grep-lint: sync.WaitGroup in a pipeline or simulation layer (run fan-out as campaign units):" >&2
 	echo "$wlint" >&2
+	exit 1
+fi
+
+# Stamping-contract lint: a stamp reaches the MNA system through the
+# stamping contexts' dense views or their recording, and an element is
+# linear exactly when it implements StampB. A function-typed struct field
+# in internal/netlist (a stamping closure) is the telltale of a second
+# route to the same target. Tests are excluded.
+flint=$(grep -rnE --include='*.go' --exclude='*_test.go' \
+	'^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*(,[[:space:]]*[A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+func\(' \
+	internal/netlist/ 2>/dev/null || true)
+if [ -n "$flint" ]; then
+	echo "grep-lint: function-typed struct field in internal/netlist (stamp through the dense views or the recording):" >&2
+	echo "$flint" >&2
 	exit 1
 fi
 
